@@ -20,7 +20,7 @@ from .phase import PhaseCorrections, phase_corrections
 from .polynomials import (PolyCoeffs, exact_coeffs, oracle_zeros, poly_coeffs,
                           relative_residual, theta, theta_laguerre,
                           theta_with_derivative, upper_half, w0_derivable)
-from .sweep import Carrier, SweepConfig, iterate_T, omega, sweep, taylor_step, taylor_table
+from .sweep import Carrier, iterate_T, omega, sweep, taylor_step, taylor_table
 
 __version__ = "0.1.0"
 
@@ -29,7 +29,7 @@ __all__ = [
     "Carrier", "exact_coeffs", "iterate_T", "LgTable", "make_params",
     "map_point", "MapState", "omega", "oracle_zeros", "phase_corrections",
     "PhaseCorrections", "poly_coeffs", "PolyCoeffs", "ProblemParams",
-    "relative_residual", "solve_tau0", "sweep", "SweepConfig", "tau_cascade",
+    "relative_residual", "solve_tau0", "sweep", "tau_cascade",
     "taylor_step", "taylor_table", "theta", "theta_laguerre",
     "theta_with_derivative", "upper_half", "w0_derivable", "xi_closed_form",
     "ZeroApprox", "zeta_from_xi",

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import sys
 import time
@@ -26,7 +25,8 @@ from .errors import (ApproximationFailures, InvalidDegree,
 from .expansion import approx_all
 from .params import DEFAULT_DELTA1, DEFAULT_DELTA2, make_params
 from .polynomials import poly_coeffs, oracle_zeros, relative_residual
-from .sweep import sweep
+from .sweep import (POLISH_BELOW_N, SEED_TERMS_LARGE, SEED_TERMS_SMALL,
+                    sweep)
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -162,7 +162,9 @@ def _compute_rows(cfg: RunConfig, method: str):
         except SweepStalled as exc:
             zs = exc.partial
             partial = True
-        terms = 3 if cfg.n < 30 else 5  # seeding policy, informational
+        # expansion terms of the first-zero seed, informational
+        terms = (SEED_TERMS_SMALL if cfg.n < POLISH_BELOW_N
+                 else SEED_TERMS_LARGE)
         rows = [ZeroRow(m=i + 1, z=z,
                         residual=relative_residual(coeffs, z),
                         method="sweep", terms=terms, partial=partial)
@@ -194,22 +196,10 @@ def cmd_approx(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _thread_cap() -> int:
-    env = os.environ.get("RGBP_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, os.cpu_count() or 1)
-
-
 def cmd_validate(cfg: RunConfig) -> int:
     if cfg.n > VALIDATE_MAX_N:
         raise ParameterOutOfRange(
             f"validate is limited to n <= {VALIDATE_MAX_N} (oracle bound)")
-    from concurrent.futures import ThreadPoolExecutor
-
     params = make_params(cfg.n, cfg.a, cfg.delta1, cfg.delta2)
     truth = [z for z in oracle_zeros(cfg.n, cfg.a) if z.imag >= -1e-12]
     truth = truth[:params.num_upper_zeros]
@@ -220,9 +210,8 @@ def cmd_validate(cfg: RunConfig) -> int:
 
     swept = sweep(cfg.n, cfg.a, eps=cfg.eps)
     approxes = approx_all(params, terms=cfg.terms)
-    with ThreadPoolExecutor(max_workers=_thread_cap()) as pool:
-        sweep_errs = list(pool.map(nearest_err, swept))
-        approx_errs = list(pool.map(nearest_err, (ap.t for ap in approxes)))
+    sweep_errs = [nearest_err(z) for z in swept]
+    approx_errs = [nearest_err(ap.t) for ap in approxes]
 
     def summary(errs):
         return {"per_m": errs, "max": max(errs), "median":

@@ -8,19 +8,19 @@ started one local half-period  H = pi / sqrt(Omega)  away.  The first zero
 comes from the asymptotic expansion (with a high-precision Newton polish
 at small degrees, where the expansion alone is not at full accuracy).
 
-Cost is O(1) work per zero: the Taylor table has a fixed number of terms
-and the carrier re-expands only when the truncation estimate demands it.
+Cost is O(1) work per zero: the Taylor table has a fixed number of terms,
+and each transport step is chosen before it is taken, from the tail of the
+table (Taylor marching, Glaser, Liu & Rokhlin 2007), so no step is tried
+and rejected.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
-from .errors import (InvalidDegree, IterationDivergence, SweepStalled,
-                     StepTooLarge)
+from .errors import IterationDivergence, SweepStalled, StepTooLarge
 from .expansion import approx_zero
 from .lg_coeffs import build_lg_table
 from .params import make_params
@@ -31,14 +31,10 @@ POLISH_DPS = 30
 SEED_TERMS_SMALL = 3  # expansion terms for the polished small-n seed
 SEED_TERMS_LARGE = 5
 SEED_DRIFT_LIMIT = 0.5  # polished first zero may not move further than this
-
-
-@dataclass
-class SweepConfig:
-    eps: float = 1e-12
-    taylor_terms: int = 16       # table length K (derivatives 0..K)
-    max_iters: int = 30          # fixed-point iterations per zero
-    step_eps: float = 1e-13      # Taylor truncation tolerance
+TAYLOR_TERMS = 28     # table length K (derivatives 0..K), the measured fastest
+STEP_EPS = 1e-13      # Taylor truncation tolerance of one step
+STEP_SAFETY = 0.9     # share of the a-priori step bound that is taken
+MAX_ITERS = 30        # fixed-point iterations per zero
 
 
 def omega(n: int, a: float, z: complex) -> complex:
@@ -49,7 +45,7 @@ def omega(n: int, a: float, z: complex) -> complex:
 
 
 def taylor_table(n: int, a: float, z0: complex, w0: complex, dw0: complex,
-                 terms: int = 16) -> List[complex]:
+                 terms: int = TAYLOR_TERMS) -> List[complex]:
     """Derivatives w, w', ..., w^(terms) at z0 from the equation recurrence."""
     z0 = complex(z0)
     C = (n + a / 2.0) * (n + a / 2.0 - 1.0)
@@ -68,7 +64,7 @@ def taylor_table(n: int, a: float, z0: complex, w0: complex, dw0: complex,
     return d
 
 
-def taylor_step(d: List[complex], h: complex, eps: float = 1e-13):
+def taylor_step(d: List[complex], h: complex, eps: float = STEP_EPS):
     """(w, w') a displacement h from the table's base point.
 
     The last retained term bounds the truncation; the step is rejected
@@ -90,43 +86,50 @@ def taylor_step(d: List[complex], h: complex, eps: float = 1e-13):
 
 
 class Carrier:
-    """Movable Taylor table transporting (w, w') along the sweep path."""
+    """Movable Taylor table transporting (w, w') along the sweep path.
+
+    Each table carries its own step bound h_max, taken from its tail so
+    that the truncation estimate of taylor_step stays below STEP_EPS on
+    every step of length <= h_max; the carrier never tries a longer one.
+    """
 
     def __init__(self, n: int, a: float, z0: complex, w0: complex,
-                 dw0: complex, terms: int = 16, step_eps: float = 1e-13):
+                 dw0: complex):
         self.n, self.a = n, a
-        self.terms = terms
-        self.step_eps = step_eps
-        self.z0 = complex(z0)
-        self.d = taylor_table(n, a, z0, w0, dw0, terms)
+        self._expand(complex(z0), w0, dw0)
+
+    def _expand(self, z0: complex, w0: complex, dw0: complex) -> None:
+        self.z0 = z0
+        self.d = taylor_table(self.n, self.a, z0, w0, dw0, TAYLOR_TERMS)
+        N = TAYLOR_TERMS - 1
+        tail = max(abs(self.d[N]), abs(self.d[N + 1]))
+        # est = tail * h^N / N! <= STEP_SAFETY^N * STEP_EPS for |h| <= h_max;
+        # the scale 1 is the smallest taylor_step accepts.  A zero tail
+        # bounds nothing, and an overflowed one is left to taylor_step's
+        # own check, so that the walk below always ends.
+        if 0.0 < tail < math.inf:
+            self.h_max = STEP_SAFETY * (STEP_EPS * math.factorial(N)
+                                        / tail) ** (1.0 / N)
+        else:
+            self.h_max = math.inf
 
     def eval_at(self, z: complex):
-        """(w, w') at z, re-expanding at intermediate points as needed."""
-        while True:
+        """(w, w') at z, re-expanding every h_max along the way."""
+        h = z - self.z0
+        while abs(h) > self.h_max:
+            step = h * (self.h_max / abs(h))
+            w, dw = taylor_step(self.d, step, STEP_EPS)
+            self._expand(self.z0 + step, w, dw)
             h = z - self.z0
-            try:
-                return taylor_step(self.d, h, self.step_eps)
-            except StepTooLarge:
-                frac = 0.5
-                while True:
-                    try:
-                        w, dw = taylor_step(self.d, h * frac, self.step_eps)
-                        break
-                    except StepTooLarge:
-                        frac *= 0.5
-                        if frac < 1e-12:
-                            raise
-                self.z0 = self.z0 + h * frac
-                self.d = taylor_table(self.n, self.a, self.z0, w, dw,
-                                      self.terms)
+        return taylor_step(self.d, h, STEP_EPS)
 
 
-def iterate_T(carrier: Carrier, z0: complex, *, eps: float = 1e-12,
-              max_iters: int = 30) -> complex:
+def iterate_T(carrier: Carrier, z0: complex, *,
+              eps: float = 1e-12) -> complex:
     """Fixed point of T(z) = z - arctan(sqrt(Omega) w / w') / sqrt(Omega)."""
     n, a = carrier.n, carrier.a
     z = complex(z0)
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         w, dw = carrier.eval_at(z)
         sq = cmath.sqrt(omega(n, a, z))
         upd = -cmath.atan(sq * w / dw) / sq
@@ -136,7 +139,7 @@ def iterate_T(carrier: Carrier, z0: complex, *, eps: float = 1e-12,
         z = z + upd
         if abs(upd) <= eps * (1.0 + abs(z)):
             return z
-    raise IterationDivergence(f"no fixed point within {max_iters} iterations "
+    raise IterationDivergence(f"no fixed point within {MAX_ITERS} iterations "
                               f"near z={z0}")
 
 
@@ -158,17 +161,13 @@ def _first_zero(n: int, a: float) -> complex:
     return z
 
 
-def sweep(n: int, a: float, eps: float = 1e-12,
-          config: Optional[SweepConfig] = None) -> List[complex]:
+def sweep(n: int, a: float, eps: float = 1e-12) -> List[complex]:
     """All floor((n+1)/2) upper-half zeros, by decreasing imaginary part.
 
     The lower-half zeros are the conjugates; for odd n the last entry is
     the single real zero (its imaginary part snapped to exactly zero).
     """
     make_params(n, a)  # validate up front
-    cfg = config or SweepConfig(eps=eps)
-    if config is None:
-        cfg.eps = eps
     M = (n + 1) // 2
     zeros = [_first_zero(n, a)]
     for _ in range(1, M):
@@ -179,12 +178,11 @@ def sweep(n: int, a: float, eps: float = 1e-12,
         if zt.imag > zp.imag:
             step = -step
             zt = zp + step
-        carrier = Carrier(n, a, zp, 0.0, 1.0, cfg.taylor_terms, cfg.step_eps)
+        carrier = Carrier(n, a, zp, 0.0, 1.0)
         z = None
         for attempt_step in (step, -step, 0.5 * step):
             try:
-                cand = iterate_T(carrier, zp + attempt_step, eps=cfg.eps,
-                                 max_iters=cfg.max_iters)
+                cand = iterate_T(carrier, zp + attempt_step, eps=eps)
             except IterationDivergence:
                 continue
             if cand.imag < zp.imag - 1e-14 * (1.0 + abs(zp.imag)):

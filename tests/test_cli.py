@@ -87,8 +87,7 @@ def test_approx_command(capsys):
     assert abs(complex(z10["re"], z10["im"]) - ref) <= 1e-10 * abs(ref)
 
 
-def test_validate_passes_and_reports(capsys, monkeypatch):
-    monkeypatch.setenv("RGBP_THREADS", "2")
+def test_validate_passes_and_reports(capsys):
     code, out, _ = run(capsys, "validate", "--n", "30", "--a", "1.2")
     assert code == 0
     doc = json.loads(out)

@@ -1,12 +1,22 @@
 import math
 import random
+import sys
 
 import pytest
 import sympy
 
-from rgbpzeros import (Carrier, StepTooLarge, iterate_T, omega, oracle_zeros,
-                       poly_coeffs, relative_residual, sweep, taylor_step,
-                       taylor_table)
+from rgbpzeros import (Carrier, StepTooLarge, SweepStalled, approx_all,
+                       approx_zero, build_lg_table, iterate_T, make_params,
+                       omega, oracle_zeros, poly_coeffs, relative_residual,
+                       sweep, taylor_step, taylor_table)
+
+# the package attribute ``sweep`` is the function, not the module
+SWEEP_MODULE = sys.modules["rgbpzeros.sweep"]
+
+
+def a_from_alpha(n, alpha):
+    """The a with (a - 2)/(n + 1/2) = alpha."""
+    return 2.0 + alpha * (n + 0.5)
 
 
 def test_omega_examples():
@@ -147,3 +157,71 @@ def test_sweep_real_zero_snap_for_odd_degree():
     for n, a in [(3, 2.0), (15, 1.01), (31, 2.3)]:
         zs = sweep(n, a)
         assert zs[-1].imag == 0.0
+
+
+def test_sweep_work_per_zero(monkeypatch):
+    """Steps are sized before they are taken: none is rejected, and each
+    zero costs about one Taylor table and two steps."""
+    counts = {"tables": 0, "steps": 0, "rejected": 0}
+    table, step = SWEEP_MODULE.taylor_table, SWEEP_MODULE.taylor_step
+
+    def counted_table(*args, **kwargs):
+        counts["tables"] += 1
+        return table(*args, **kwargs)
+
+    def counted_step(*args, **kwargs):
+        counts["steps"] += 1
+        try:
+            return step(*args, **kwargs)
+        except StepTooLarge:
+            counts["rejected"] += 1
+            raise
+
+    monkeypatch.setattr(SWEEP_MODULE, "taylor_table", counted_table)
+    monkeypatch.setattr(SWEEP_MODULE, "taylor_step", counted_step)
+    zs = sweep(2000, 2.3)
+    assert len(zs) == 1000
+    assert counts["rejected"] == 0
+    assert counts["tables"] <= 1.5 * len(zs)
+    assert counts["steps"] <= 3 * len(zs)
+
+
+@pytest.mark.parametrize("alpha", [-0.8, 0.0, 5.0])
+def test_sweep_agrees_with_expansion(alpha):
+    n = 400
+    a = a_from_alpha(n, alpha)
+    zs = sweep(n, a)
+    approxes = approx_all(make_params(n, a), terms=5)
+    assert len(zs) == len(approxes) == 200
+    for z, ap in zip(zs, approxes):
+        assert abs(z - ap.t) <= 5e-13 * abs(ap.t), ap.m
+
+
+LOWER_EDGE_STALL = pytest.mark.xfail(
+    strict=True, raises=SweepStalled,
+    reason="the half-period predictor stalls near the lower window edge")
+
+
+@pytest.mark.parametrize("n,alpha", [
+    pytest.param(100, -0.88, marks=LOWER_EDGE_STALL),
+    pytest.param(400, -0.86, marks=LOWER_EDGE_STALL),
+    pytest.param(1000, -0.86, marks=LOWER_EDGE_STALL),
+    (100, -0.86), (400, -0.84), (1000, -0.835),
+])
+def test_sweep_lower_edge(n, alpha):
+    a = a_from_alpha(n, alpha)
+    params = make_params(n, a)
+    stall = None
+    try:
+        zs = sweep(n, a)
+    except SweepStalled as exc:
+        zs, stall = exc.partial, exc
+    # every row returned, before a stall too, matches the expansion
+    assert zs
+    lg = build_lg_table(params)
+    for m, z in enumerate(zs, start=1):
+        ref = approx_zero(params, lg, m).t
+        assert abs(z - ref) <= 1e-10 * abs(ref), m
+    if stall is not None:
+        raise stall
+    assert len(zs) == params.num_upper_zeros
