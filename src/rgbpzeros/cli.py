@@ -1,10 +1,8 @@
-"""Command-line interface: compute, validate, and benchmark zero tables.
+"""Command-line interface: compute and validate zero tables.
 
 Commands:
   zeros     upper-half zeros by sweep or asymptotic expansion (csv/json)
-  approx    asymptotic expansion only, with per-index diagnostics
   validate  compare both methods against the brute-force oracle (json)
-  bench     sweep wall-clock timings over a fixed degree grid (csv)
 
 Exit codes: 0 success, 1 computation failure, 2 partial result,
 64 usage error.  Output is deterministic for a fixed configuration.
@@ -16,7 +14,6 @@ import argparse
 import json
 import statistics
 import sys
-import time
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -33,9 +30,6 @@ EXIT_FAILURE = 1
 EXIT_PARTIAL = 2
 EXIT_USAGE = 64
 
-BENCH_DEGREES = (30, 200, 500, 1000, 2000)
-BENCH_A = 2.3
-BENCH_REPEATS = 5
 VALIDATE_MAX_N = 200
 
 
@@ -61,7 +55,6 @@ class ZeroRow:
     residual: float
     method: str
     terms: int
-    partial: bool = False
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,12 +63,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Zeros of reverse generalized Bessel polynomials.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, need_na=True):
-        if need_na:
-            sp.add_argument("--n", type=int, required=True,
-                            help="polynomial degree")
-            sp.add_argument("--a", type=float, required=True,
-                            help="real parameter")
+    def common(sp):
+        sp.add_argument("--n", type=int, required=True,
+                        help="polynomial degree")
+        sp.add_argument("--a", type=float, required=True,
+                        help="real parameter")
         sp.add_argument("--output", default=None,
                         help="output path (default: stdout)")
         sp.add_argument("--delta1", type=float, default=DEFAULT_DELTA1)
@@ -89,20 +81,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=float, default=1e-12)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    sp = sub.add_parser("approx", help="asymptotic expansion only")
-    common(sp)
-    sp.add_argument("--terms", type=int, default=5, choices=range(1, 6))
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-
     sp = sub.add_parser("validate", help="compare both methods to the oracle")
     common(sp)
     sp.add_argument("--terms", type=int, default=5, choices=range(1, 6))
     sp.add_argument("--eps", type=float, default=1e-12)
     sp.add_argument("--gate", type=float, default=1e-10,
                     help="maximum allowed relative error")
-
-    sp = sub.add_parser("bench", help="sweep timing table")
-    common(sp, need_na=False)
     return p
 
 
@@ -151,12 +135,12 @@ def _rows_to_json(cfg: RunConfig, rows: List[ZeroRow], partial: bool) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _compute_rows(cfg: RunConfig, method: str):
-    """(rows, partial_flag) for the requested method."""
+def _compute_rows(cfg: RunConfig):
+    """(rows, partial_flag) for the configured method."""
     params = make_params(cfg.n, cfg.a, cfg.delta1, cfg.delta2)
     coeffs = poly_coeffs(cfg.n, cfg.a)
     partial = False
-    if method == "sweep":
+    if cfg.method == "sweep":
         try:
             zs = sweep(cfg.n, cfg.a, eps=cfg.eps)
         except SweepStalled as exc:
@@ -167,7 +151,7 @@ def _compute_rows(cfg: RunConfig, method: str):
                  else SEED_TERMS_LARGE)
         rows = [ZeroRow(m=i + 1, z=z,
                         residual=relative_residual(coeffs, z),
-                        method="sweep", terms=terms, partial=partial)
+                        method="sweep", terms=terms)
                 for i, z in enumerate(zs)]
     else:
         approxes = approx_all(params, terms=cfg.terms)
@@ -179,21 +163,12 @@ def _compute_rows(cfg: RunConfig, method: str):
 
 
 def cmd_zeros(cfg: RunConfig) -> int:
-    rows, partial = _compute_rows(cfg, cfg.method)
+    rows, partial = _compute_rows(cfg)
     if cfg.format == "csv":
         _emit(_rows_to_csv(rows, partial), cfg.output)
     else:
         _emit(_rows_to_json(cfg, rows, partial), cfg.output)
     return EXIT_PARTIAL if partial else EXIT_OK
-
-
-def cmd_approx(cfg: RunConfig) -> int:
-    rows, partial = _compute_rows(cfg, "asymptotic")
-    if cfg.format == "csv":
-        _emit(_rows_to_csv(rows, partial), cfg.output)
-    else:
-        _emit(_rows_to_json(cfg, rows, partial), cfg.output)
-    return EXIT_OK
 
 
 def cmd_validate(cfg: RunConfig) -> int:
@@ -230,22 +205,6 @@ def cmd_validate(cfg: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_FAILURE
 
 
-def cmd_bench(cfg: RunConfig) -> int:
-    lines = ["n,a,zeros,median_seconds"]
-    for n in BENCH_DEGREES:
-        sweep(n, BENCH_A)  # warm caches before timing
-        times = []
-        count = 0
-        for _ in range(BENCH_REPEATS):
-            t0 = time.perf_counter()
-            zs = sweep(n, BENCH_A)
-            times.append(time.perf_counter() - t0)
-            count = len(zs)
-        lines.append(f"{n},{BENCH_A!r},{count},{statistics.median(times)!r}")
-    _emit("\n".join(lines) + "\n", cfg.output)
-    return EXIT_OK
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     try:
@@ -254,8 +213,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # argparse uses 2 for usage errors; remap to the contract value
         return EXIT_USAGE if exc.code not in (0, None) else 0
     cfg = _config_from_args(args)
-    handlers = {"zeros": cmd_zeros, "approx": cmd_approx,
-                "validate": cmd_validate, "bench": cmd_bench}
+    handlers = {"zeros": cmd_zeros, "validate": cmd_validate}
     try:
         return handlers[cfg.command](cfg)
     except (InvalidDegree, ParameterOutOfRange) as exc:

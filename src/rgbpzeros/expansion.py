@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from .airy import airy_zero
@@ -53,9 +53,7 @@ def _tau0_residual(params: ProblemParams, tau: complex, xi_target: complex):
     return val - xi_target, Z / tau  # F, F' (= xi')
 
 
-def solve_tau0(params: ProblemParams, m: int, *,
-               tol: float = NEWTON_TOL,
-               max_iters: int = NEWTON_MAX_ITERS):
+def solve_tau0(params: ProblemParams, m: int):
     """Leading coefficient tau_0 for index m.
 
     Returns (tau0, residual, iters).  Newton runs on w with tau_0 = -1/2 + w,
@@ -70,12 +68,12 @@ def solve_tau0(params: ProblemParams, m: int, *,
     for seed in _RETRY_SEEDS:
         w = seed
         try:
-            for it in range(1, max_iters + 1):
+            for it in range(1, NEWTON_MAX_ITERS + 1):
                 tau = -0.5 + w
                 f, fp = _tau0_residual(params, tau, xi_target)
                 dw = f / fp
                 w -= dw
-                if abs(dw) <= tol * (1.0 + abs(w)):
+                if abs(dw) <= NEWTON_TOL * (1.0 + abs(w)):
                     tau = -0.5 + w
                     resid = abs(_tau0_residual(params, tau, xi_target)[0])
                     return tau, resid, it

@@ -2,69 +2,40 @@
 
 Builds, per problem instance, the trig-polynomial coefficients E_s(phi)
 (closed forms for s = 1, 2, a differentiate/multiply/integrate recursion
-beyond that), the generator series G(phi), the exact rational constant
-sequences a_s / atilde_s, and the alpha-dependent odd constants d_s that
-regularize the odd-index coefficients at the turning point.
+beyond that, driven by the generator series G(phi)) and the
+alpha-dependent odd constants d_s that regularize the odd-index
+coefficients at the turning point.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Dict, List
 
 from .params import ProblemParams
 from .trig_series import PhiSeries
 
-
-@functools.lru_cache(maxsize=None)
-def const_a(s: int) -> Fraction:
-    """Exact rational a_s (a1 = a2 = 5/72, then the quadratic recursion)."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    return _const_sequence(Fraction(5, 72))[s - 1] if s <= 2 else _recurse_const(s, const_a)
+S_MAX = 7  # highest coefficient index the four correction terms consume
 
 
-@functools.lru_cache(maxsize=None)
-def const_atilde(s: int) -> Fraction:
-    """Exact rational atilde_s (atilde1 = atilde2 = -7/72, same recursion)."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    return _const_sequence(Fraction(-7, 72))[s - 1] if s <= 2 else _recurse_const(s, const_atilde)
+def const_d(al, s_odd: int):
+    """Odd-index turning-point constant d_s(alpha) for s in {1, 3, 5, 7}.
 
-
-def _const_sequence(seed: Fraction):
-    return [seed, seed]
-
-
-def _recurse_const(s: int, fn) -> Fraction:
-    # c_{s+1} = (s+1)/2 * c_s + (1/2) sum_{j=1}^{s-1} c_j c_{s-j},  s >= 2
-    k = s - 1
-    total = Fraction(k + 1, 2) * fn(k)
-    for j in range(1, k):
-        total += Fraction(1, 2) * fn(j) * fn(k - j)
-    return total
-
-
-def const_d(params: ProblemParams, s_odd: int) -> float:
-    """Odd-index turning-point constant d_s(alpha) for s in {1, 3, 5, 7}."""
-    return _d_value(params.alpha, s_odd)
-
-
-def _d_value(al: float, s_odd: int) -> float:
-    op = 1.0 + al
+    The literals are integers, so a float alpha gives a float and a
+    Fraction alpha the exact rational.
+    """
+    op = 1 + al
     if s_odd == 1:
-        return -al / (48.0 * op)
+        return -al / (48 * op)
     if s_odd == 3:
-        return 7.0 * al * (3.0 + 3.0 * al + al * al) / (5760.0 * op**3)
+        return 7 * al * (3 + 3 * al + al * al) / (5760 * op**3)
     if s_odd == 5:
-        return (-31.0 * al * (5.0 + 10.0 * al + 10.0 * al**2 + 5.0 * al**3 + al**4)
-                / (80640.0 * op**5))
+        return (-31 * al * (5 + 10 * al + 10 * al**2 + 5 * al**3 + al**4)
+                / (80640 * op**5))
     if s_odd == 7:
-        return (127.0 * al * (7.0 + 21.0 * al + 35.0 * al**2 + 35.0 * al**3
-                              + 21.0 * al**4 + 7.0 * al**5 + al**6)
-                / (430080.0 * op**7))
+        return (127 * al * (7 + 21 * al + 35 * al**2 + 35 * al**3
+                            + 21 * al**4 + 7 * al**5 + al**6)
+                / (430080 * op**7))
     raise ValueError(f"d-constant defined for s in {{1,3,5,7}}, got {s_odd}")
 
 
@@ -99,7 +70,7 @@ def _closed_form_E2(params: ProblemParams) -> PhiSeries:
     return part1 + part2
 
 
-def coeff_E(params: ProblemParams, s_max: int = 7) -> List[PhiSeries]:
+def coeff_E(params: ProblemParams, s_max: int) -> List[PhiSeries]:
     """Coefficients E_1..E_{s_max}, 1-indexed (index 0 unused).
 
     E_1 and E_2 come from their closed forms; higher indices from the
@@ -127,84 +98,13 @@ def coeff_E(params: ProblemParams, s_max: int = 7) -> List[PhiSeries]:
 class LgTable:
     """Per-(n, a) cache of everything the correction terms consume."""
 
-    alpha: float
     E: List[PhiSeries]            # 1-indexed, E[0] unused
-    G: PhiSeries
-    a_const: List[Fraction]       # 1-indexed
-    atilde_const: List[Fraction]  # 1-indexed
-    d_const: Dict[int, float] = field(default_factory=dict)
+    d_const: Dict[int, float]
 
     def d(self, s_odd: int) -> float:
         return self.d_const[s_odd]
 
 
-def build_lg_table(params: ProblemParams, s_max: int = 7) -> LgTable:
-    E = coeff_E(params, s_max)
-    a_c = [Fraction(0)] + [const_a(s) for s in range(1, s_max + 1)]
-    at_c = [Fraction(0)] + [const_atilde(s) for s in range(1, s_max + 1)]
-    d_c = {s: const_d(params, s) for s in (1, 3, 5, 7) if s <= s_max}
-    return LgTable(alpha=params.alpha, E=E, G=coeff_G(params),
-                   a_const=a_c, atilde_const=at_c, d_const=d_c)
-
-
-def loggamma_ratio_lhs(alpha: float, u: float, dps: int = 40) -> float:
-    """High-precision value of the quantity whose large-u expansion has the
-    d-constants as coefficients of u^-(2s+1).  Test/diagnostic helper."""
-    import mpmath as mp
-
-    with mp.workdps(dps):
-        ua = mp.mpf(u)
-        al = mp.mpf(alpha)
-        val = (ua * al * (mp.log(ua) - 1) + ua * (1 + al) * mp.log(1 + al)
-               + mp.loggamma(ua + mp.mpf(1) / 2)
-               - mp.loggamma(ua + ua * al + mp.mpf(1) / 2)) / 2
-        return float(val)
-
-
-def d_partial_sum(alpha: float, u: float, s_terms: int = 4) -> float:
-    """Partial sum  sum_{s<s_terms} d_{2s+1}/u^{2s+1}  at the given alpha."""
-    return sum(_d_value(alpha, 2 * s + 1) / u ** (2 * s + 1)
-               for s in range(s_terms))
-
-
-def d_expansion_error(alpha: float, u: float, s_terms: int = 4,
-                      dps: int = 60) -> float:
-    """|lhs - partial sum| evaluated entirely in extended precision.
-
-    The residual after four terms sits far below double rounding of the
-    lhs itself, so the subtraction cannot be done in floats.
-    """
-    import mpmath as mp
-
-    with mp.workdps(dps):
-        ua = mp.mpf(u)
-        al = mp.mpf(alpha)
-        lhs = (ua * al * (mp.log(ua) - 1) + ua * (1 + al) * mp.log(1 + al)
-               + mp.loggamma(ua + mp.mpf(1) / 2)
-               - mp.loggamma(ua + ua * al + mp.mpf(1) / 2)) / 2
-        alf = Fraction(alpha)  # binary floats are exact rationals
-        partial = mp.fsum(_mp_fraction(mp, _d_fraction(alf, 2 * s + 1))
-                          / ua ** (2 * s + 1)
-                          for s in range(s_terms))
-        return float(abs(lhs - partial))
-
-
-def _mp_fraction(mp, f: Fraction):
-    return mp.mpf(f.numerator) / mp.mpf(f.denominator)
-
-
-def _d_fraction(al: Fraction, s_odd: int) -> Fraction:
-    """Exact rational twin of _d_value for rational alpha."""
-    op = 1 + al
-    if s_odd == 1:
-        return -al / (48 * op)
-    if s_odd == 3:
-        return 7 * al * (3 + 3 * al + al * al) / (5760 * op**3)
-    if s_odd == 5:
-        return (-31 * al * (5 + 10 * al + 10 * al**2 + 5 * al**3 + al**4)
-                / (80640 * op**5))
-    if s_odd == 7:
-        return (127 * al * (7 + 21 * al + 35 * al**2 + 35 * al**3
-                            + 21 * al**4 + 7 * al**5 + al**6)
-                / (430080 * op**7))
-    raise ValueError(f"d-constant defined for s in {{1,3,5,7}}, got {s_odd}")
+def build_lg_table(params: ProblemParams) -> LgTable:
+    return LgTable(E=coeff_E(params, S_MAX),
+                   d_const={s: const_d(params.alpha, s) for s in (1, 3, 5, 7)})

@@ -29,7 +29,7 @@ from .params import ProblemParams
 _TWO_PI_I = 2j * math.pi
 _JET_ORDER = 5  # value + derivatives up to zeta''''
 
-# default exclusion radius around the turning point, relative to its size
+# exclusion radius around the turning point, relative to its size
 TURNING_POINT_RTOL = 1e-3
 CUT_TOL = 1e-8
 
@@ -43,11 +43,9 @@ class MapState:
     phi: complex
     xi: complex
     zeta: complex
-    rho: complex                 # 1/zeta
     d_xi: complex                # xi'
     d_phi: complex               # phi'
     d_zeta: List[complex]        # [zeta', zeta'', zeta''', zeta'''']
-    sign: int                    # branch sign of Z relative to principal sqrt
     jets: dict = field(default_factory=dict, repr=False)  # internal carriers
 
 
@@ -122,13 +120,9 @@ def zeta_from_xi(xi: complex, sign: int) -> complex:
     return cmath.exp((2.0 / 3.0) * ln)
 
 
-def zeta_for_airy_zero(params: ProblemParams, m: int,
-                       airy_m: Optional[float] = None):
+def zeta_for_airy_zero(params: ProblemParams, m: int):
     """Pinned (zeta, xi) pair for the m-th Airy-zero level set."""
-    if airy_m is None:
-        airy_m = airy_zero(m)
-    if airy_m >= 0:
-        raise ValueError("airy_m must be the (negative) m-th Airy zero")
+    airy_m = airy_zero(m)
     u = params.u
     zeta = airy_m * u ** (-2.0 / 3.0)
     xi = -2j * abs(airy_m) ** 1.5 / (3.0 * u)
@@ -137,8 +131,7 @@ def zeta_for_airy_zero(params: ProblemParams, m: int,
 
 def map_point(params: ProblemParams, z: complex, *,
               xi_value: Optional[complex] = None,
-              zeta_value: Optional[complex] = None,
-              turning_point_rtol: float = TURNING_POINT_RTOL) -> MapState:
+              zeta_value: Optional[complex] = None) -> MapState:
     """Full mapped state at z, including the derivative chain.
 
     ``xi_value`` / ``zeta_value`` override the closed forms; the zero
@@ -148,7 +141,7 @@ def map_point(params: ProblemParams, z: complex, *,
     z = complex(z)
     if z == 0:
         raise ZeroArgument("the origin is a singular point of the map")
-    if abs(z - params.z1) < turning_point_rtol * (1.0 + abs(params.z1)):
+    if abs(z - params.z1) < TURNING_POINT_RTOL * (1.0 + abs(params.z1)):
         raise TurningPointProximity(
             f"z={z} within exclusion radius of turning point {params.z1}")
     sign = _branch_sign(params, z)
@@ -185,8 +178,7 @@ def map_point(params: ProblemParams, z: complex, *,
     d_zeta = [JetOps.derivative(zeta_j, k) for k in range(1, _JET_ORDER)]
     return MapState(
         z=z, Z=Z0, phi=phi0, xi=xi0, zeta=complex(zeta0),
-        rho=1.0 / complex(zeta0) if zeta0 != 0 else complex("inf"),
-        d_xi=dxi_j[0], d_phi=dphi_j[0], d_zeta=d_zeta, sign=sign,
+        d_xi=dxi_j[0], d_phi=dphi_j[0], d_zeta=d_zeta,
         jets={"ops": J, "z": zj, "Z": Zj, "sin": sin_j, "cos": cos_j,
               "phi": phi_j, "xi": xi_j, "zeta": zeta_j},
     )

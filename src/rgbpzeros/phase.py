@@ -23,8 +23,9 @@ from .params import ProblemParams
 
 ZETA_TOL = 1e-8
 
-# Exact rational constants of the four correction coefficients, asserted
-# once against this transcription at import time.
+# Exact rational constants of the four correction coefficients.  The tails
+# are the a_s sequence folded in through xi^2 = (4/9) zeta^3; the tests
+# check that identity in exact rationals.
 TAIL_CONSTANTS = (Fraction(5, 48), Fraction(1105, 9216),
                   Fraction(82825, 98304), Fraction(1282031525, 88080384))
 COUPLING_CONSTANTS = (Fraction(5, 32), Fraction(25, 128), Fraction(1105, 2048),
@@ -67,14 +68,9 @@ class PhaseCorrections:
     def u4(self): return self.value(4)
 
 
-def phase_corrections(params: ProblemParams, lg: LgTable, state: MapState,
-                      scripted_tails: bool = False) -> PhaseCorrections:
-    """Build the correction jets at the point carried by ``state``.
-
-    ``scripted_tails`` switches to the equivalent formulation in which the
-    explicit rational tail constants are folded into the odd E-coefficients
-    via the a_s sequence; both routes agree because xi^2 = (4/9) zeta^3.
-    """
+def phase_corrections(params: ProblemParams, lg: LgTable,
+                      state: MapState) -> PhaseCorrections:
+    """Build the correction jets at the point carried by ``state``."""
     if abs(state.zeta) < ZETA_TOL:
         raise ZetaVanishes(
             f"|zeta|={abs(state.zeta):.3e} too small at z={state.z}")
@@ -95,13 +91,6 @@ def phase_corrections(params: ProblemParams, lg: LgTable, state: MapState,
         base = J.mul(J.scale(J.mul(xi_j, J.add(E_jet(s_odd),
                                                J.const(lg.d(s_odd)))), 1.5),
                      zeta_pow(2))
-        if scripted_tails:
-            a_s = float(lg.a_const[s_odd])
-            xi_pow = J.power(xi_j, s_odd)
-            corr = J.mul(J.scale(J.mul(xi_j, J.div(J.const(-a_s / s_odd),
-                                                   xi_pow)), 1.5),
-                         zeta_pow(2))
-            return J.add(base, corr)
         return J.sub(base, J.scale(zeta_pow(tail_pow), float(tail)))
 
     c5_32, c25_128, c1105_2048, c175_768, c12155_8192, c414125_65536 = (

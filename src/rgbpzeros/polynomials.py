@@ -8,7 +8,7 @@ to degrees of a few thousand.
 
 The oracle deliberately avoids the asymptotic machinery: simultaneous
 Aberth iteration in scaled double precision to locate all n roots at once,
-then an independent high-precision Newton polish of each root.  Plain
+then the same iteration with extended-precision evaluation.  Plain
 monomial-basis companion solves (e.g. numpy.roots) lose 8-9 digits on
 these coefficients and are not accurate enough to serve as a reference.
 """
@@ -18,10 +18,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Tuple
 
-from .errors import InvalidDegree, OracleNoConvergence, ZeroArgument
+from .errors import InvalidDegree, OracleNoConvergence
 
 ORACLE_TOL = 1e-13           # Aberth convergence (relative step)
 ORACLE_MAX_ITERS = 100       # double-precision stage (limited by noise floor)
@@ -43,10 +42,6 @@ class PolyCoeffs:
     mant: Tuple[float, ...]   # coefficient of z^(n-k) is mant[k] * 2^exp2[k]
     exp2: Tuple[int, ...]
 
-    def coefficient(self, k: int) -> float:
-        """Plain float value of the z^(n-k) coefficient (may overflow)."""
-        return math.ldexp(self.mant[k], self.exp2[k])
-
 
 def poly_coeffs(n: int, a: float) -> PolyCoeffs:
     """All coefficients via the stable product recurrence
@@ -66,23 +61,16 @@ def poly_coeffs(n: int, a: float) -> PolyCoeffs:
     return PolyCoeffs(n=n, a=a, mant=tuple(mant), exp2=tuple(exp2))
 
 
-def exact_coeffs(n: int, a) -> List[Fraction]:
-    """Exact rational coefficients (highest degree first) for rational a."""
-    _check_degree(n)
-    am = Fraction(a)
-    out = [Fraction(1)]
-    c = Fraction(1)
+def typed_coeffs(n: int, a) -> list:
+    """All coefficients, highest degree first, by the same recurrence as
+    poly_coeffs but in the arithmetic of ``a``: exact for a Fraction, at
+    the working precision for an mpmath mpf."""
+    out = [type(a)(1)]
+    c = out[0]
     for k in range(n):
-        c = c * (n - k) / (k + 1) * (n + am - 1 + k) / 2
+        c = c * (n - k) / (k + 1) * (n + a - 1 + k) / 2
         out.append(c)
     return out
-
-
-def theta(n: int, a: float, z: complex,
-          coeffs: PolyCoeffs = None) -> Tuple[complex, int]:
-    """Scaled value: returns (m, e) with theta_n(z; a) = m * 2^e."""
-    v, _, e = theta_with_derivative(n, a, z, coeffs)
-    return v, e
 
 
 def theta_with_derivative(n: int, a: float, z: complex,
@@ -110,57 +98,6 @@ def theta_with_derivative(n: int, a: float, z: complex,
     return p, q, e
 
 
-def theta_laguerre(n: int, a: float, z: complex) -> Tuple[complex, int]:
-    """Independent scaled evaluation through the Laguerre three-term
-    recurrence with parameter 1 - 2n - a at argument 2z, times
-    (-1/2)^n n!.  Cross-check route only."""
-    _check_degree(n)
-    al = 1.0 - 2.0 * n - a
-    x = 2.0 * complex(z)
-    # L_0 = 1, L_1 = 1 + alpha - x; then
-    # (k+1) L_{k+1} = (2k + 1 + alpha - x) L_k - (k + alpha) L_{k-1}
-    lm, lc = 1.0 + 0j, 1.0 + al - x
-    e = 0
-    for k in range(1, n):
-        ln = ((2 * k + 1 + al - x) * lc - (k + al) * lm) / (k + 1)
-        lm, lc = lc, ln
-        m = abs(lc) + abs(lm)
-        if m > 1e100 or (m != 0.0 and m < 1e-100):
-            _, sh = math.frexp(m)
-            lc = math.ldexp(1.0, -sh) * lc
-            lm = math.ldexp(1.0, -sh) * lm
-            e += sh
-    val = lc if n >= 1 else lm
-    # multiply by (-1/2)^n n! in scaled form
-    fac_m, fac_e = 1.0, -n
-    for j in range(2, n + 1):
-        fac_m *= j
-        m, sh = math.frexp(fac_m)
-        fac_m = m
-        fac_e += sh
-    if n % 2:
-        fac_m = -fac_m
-    return val * fac_m, e + fac_e
-
-
-def w0_derivable(n: int, a: float, z: complex,
-                 coeffs: PolyCoeffs = None) -> Tuple[complex, complex]:
-    """Solution of the second-order equation satisfied by
-    z^(1 - n - a/2) exp(-z) theta_n(z; a), and its derivative.
-
-    Normalized exactly by that formula (no extra constant), so moderate
-    degrees stay within double range.  Raises ZeroArgument at z = 0.
-    """
-    z = complex(z)
-    if z == 0:
-        raise ZeroArgument("w0 has a branch point at the origin")
-    p, q, e = theta_with_derivative(n, a, z, coeffs)
-    pref = cmath.exp((1.0 - n - 0.5 * a) * cmath.log(z) - z + e * math.log(2.0))
-    w = pref * p
-    dw = pref * (q + p * ((1.0 - n - 0.5 * a) / z - 1.0))
-    return w, dw
-
-
 def relative_residual(coeffs: PolyCoeffs, z: complex) -> float:
     """|p(z)| / sum_k |c_k| |z|^(n-k), both on the shared scaling."""
     z = complex(z)
@@ -182,31 +119,15 @@ def relative_residual(coeffs: PolyCoeffs, z: complex) -> float:
     return abs(p) / s if s else abs(p)
 
 
-def _mp_coeffs(n: int, a: float, mp):
-    am = mp.mpf(a)
-    out = [mp.mpf(1)]
-    c = mp.mpf(1)
-    for k in range(n):
-        c = c * (n - k) / (k + 1) * (n + am - 1 + k) / 2
-        out.append(c)
-    return out
-
-
-def _mp_polish(mp, coefs, z0, tol):
-    z = mp.mpc(z0)
-    for _ in range(12):
-        p = coefs[0]
-        q = mp.mpf(0)
-        for c in coefs[1:]:
-            q = q * z + p
-            p = p * z + c
-        if q == 0:
-            break
-        dz = p / q
-        z = z - dz
-        if abs(dz) <= tol * (1 + abs(z)):
-            break
-    return z
+def horner(coefs: list, z):
+    """(p(z), p'(z)) for unscaled coefficients, highest degree first, in
+    the arithmetic of ``coefs`` and ``z``."""
+    p = coefs[0]
+    q = 0 * p
+    for c in coefs[1:]:
+        q = q * z + p
+        p = p * z + c
+    return p, q
 
 
 def _aberth_double(n: int, a: float, coeffs: PolyCoeffs,
@@ -268,18 +189,14 @@ def oracle_zeros(n: int, a: float) -> List[complex]:
     dps = 30 + n // 2
     bad = []
     with mp.workdps(dps):
-        coefs = _mp_coeffs(n, a, mp)
+        coefs = typed_coeffs(n, mp.mpf(a))
         est = [mp.mpc(r) for r in roots]
         tol = mp.mpf(10) ** (-(dps - 10))
         for _ in range(ORACLE_MP_MAX_ITERS):
             worst = mp.mpf(0)
             for i in range(n):
                 zi = est[i]
-                p = coefs[0]
-                q = mp.mpf(0)
-                for c in coefs[1:]:
-                    q = q * zi + p
-                    p = p * zi + c
+                p, q = horner(coefs, zi)
                 if p == 0:
                     continue
                 if q == 0:
@@ -329,7 +246,3 @@ def oracle_zeros(n: int, a: float) -> List[complex]:
     roots.sort(key=lambda r: (-r.imag, r.real))
     return roots
 
-
-def upper_half(roots: List[complex], tol: float = 1e-9) -> List[complex]:
-    """Zeros with non-negative imaginary part (decreasing Im order)."""
-    return [r for r in roots if r.imag >= -tol]

@@ -24,10 +24,11 @@ from .errors import IterationDivergence, SweepStalled, StepTooLarge
 from .expansion import approx_zero
 from .lg_coeffs import build_lg_table
 from .params import make_params
-from .polynomials import _mp_coeffs, _mp_polish
+from .polynomials import horner, typed_coeffs
 
 POLISH_BELOW_N = 30   # expansion seed is polished below this degree
 POLISH_DPS = 30
+POLISH_MAX_ITERS = 12  # Newton steps of the polish
 SEED_TERMS_SMALL = 3  # expansion terms for the polished small-n seed
 SEED_TERMS_LARGE = 5
 SEED_DRIFT_LIMIT = 0.5  # polished first zero may not move further than this
@@ -152,9 +153,18 @@ def _first_zero(n: int, a: float) -> complex:
     import mpmath as mp
 
     with mp.workdps(POLISH_DPS):
-        coefs = _mp_coeffs(n, a, mp)
+        coefs = typed_coeffs(n, mp.mpf(a))
         tol = mp.mpf(10) ** (-POLISH_DPS + 6)
-        z = complex(_mp_polish(mp, coefs, seed, tol))
+        z = mp.mpc(seed)
+        for _ in range(POLISH_MAX_ITERS):
+            p, q = horner(coefs, z)
+            if q == 0:
+                break
+            dz = p / q
+            z = z - dz
+            if abs(dz) <= tol * (1 + abs(z)):
+                break
+        z = complex(z)
     if abs(z - seed) > SEED_DRIFT_LIMIT * (1.0 + abs(seed)):
         raise SweepStalled(
             f"first-zero polish drifted from {seed} to {z}", [])

@@ -13,7 +13,7 @@ they are first-class citizens here.
 from __future__ import annotations
 
 import cmath
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 Term = Tuple[int, int, int]  # (phi power, sin power, cos power)
 
@@ -66,10 +66,6 @@ class PhiSeries:
     def cos() -> "PhiSeries":
         return PhiSeries({(0, 0, 1): 1.0})
 
-    @staticmethod
-    def monomial(k: int, m: int, n: int, coeff: complex = 1.0) -> "PhiSeries":
-        return PhiSeries({(k, m, n): coeff})
-
     # -- ring operations ---------------------------------------------------
     def __add__(self, other: "PhiSeries") -> "PhiSeries":
         r = dict(self.terms)
@@ -99,9 +95,6 @@ class PhiSeries:
 
     def __repr__(self):
         return f"PhiSeries({self.terms!r})"
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     # -- calculus ----------------------------------------------------------
     def differentiate(self) -> "PhiSeries":
@@ -184,23 +177,3 @@ def _int_monomial(k: int, m: int, n: int) -> Dict[Term, complex]:
             out[t] = out.get(t, 0) - k * c * cc
     return out
 
-
-# Functional aliases matching the operation-level API.
-def add(p: PhiSeries, q: PhiSeries) -> PhiSeries:
-    return p + q
-
-
-def multiply(p: PhiSeries, q: PhiSeries) -> PhiSeries:
-    return p * q
-
-
-def differentiate(p: PhiSeries) -> PhiSeries:
-    return p.differentiate()
-
-
-def integrate(p: PhiSeries) -> PhiSeries:
-    return p.integrate()
-
-
-def evaluate(p: PhiSeries, phi: complex) -> complex:
-    return p.evaluate(phi)

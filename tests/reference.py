@@ -1,0 +1,102 @@
+"""Independent references that only the tests use.
+
+None of these is on a production path: a second evaluation route for the
+polynomial, the normalized ODE solution built from it, the exact a_s
+sequence the phase tails fold in, and the extended-precision remainder of
+the d-constant expansion.
+"""
+
+import cmath
+import functools
+import math
+from fractions import Fraction
+
+from rgbpzeros.errors import ZeroArgument
+from rgbpzeros.lg_coeffs import const_d
+from rgbpzeros.polynomials import theta_with_derivative
+
+
+def theta_laguerre(n, a, z):
+    """Scaled value (m, e), theta = m * 2^e, through the Laguerre
+    three-term recurrence with parameter 1 - 2n - a at argument 2z, times
+    (-1/2)^n n!."""
+    al = 1.0 - 2.0 * n - a
+    x = 2.0 * complex(z)
+    # L_0 = 1, L_1 = 1 + alpha - x; then
+    # (k+1) L_{k+1} = (2k + 1 + alpha - x) L_k - (k + alpha) L_{k-1}
+    lm, lc = 1.0 + 0j, 1.0 + al - x
+    e = 0
+    for k in range(1, n):
+        ln = ((2 * k + 1 + al - x) * lc - (k + al) * lm) / (k + 1)
+        lm, lc = lc, ln
+        m = abs(lc) + abs(lm)
+        if m > 1e100 or (m != 0.0 and m < 1e-100):
+            _, sh = math.frexp(m)
+            lc = math.ldexp(1.0, -sh) * lc
+            lm = math.ldexp(1.0, -sh) * lm
+            e += sh
+    # multiply by (-1/2)^n n! in scaled form
+    fac_m, fac_e = 1.0, -n
+    for j in range(2, n + 1):
+        fac_m *= j
+        m, sh = math.frexp(fac_m)
+        fac_m = m
+        fac_e += sh
+    if n % 2:
+        fac_m = -fac_m
+    return lc * fac_m, e + fac_e
+
+
+def w0_derivable(n, a, z):
+    """Solution z^(1 - n - a/2) exp(-z) theta_n(z; a) of the second-order
+    equation, and its derivative; raises ZeroArgument at z = 0."""
+    z = complex(z)
+    if z == 0:
+        raise ZeroArgument("w0 has a branch point at the origin")
+    p, q, e = theta_with_derivative(n, a, z)
+    pref = cmath.exp((1.0 - n - 0.5 * a) * cmath.log(z) - z + e * math.log(2.0))
+    w = pref * p
+    dw = pref * (q + p * ((1.0 - n - 0.5 * a) / z - 1.0))
+    return w, dw
+
+
+@functools.lru_cache(maxsize=None)
+def const_a(s):
+    """Exact rational a_s: a1 = a2 = 5/72, then
+    a_{k+1} = (k+1)/2 a_k + (1/2) sum_{j=1}^{k-1} a_j a_{k-j}."""
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    if s <= 2:
+        return Fraction(5, 72)
+    k = s - 1
+    total = Fraction(k + 1, 2) * const_a(k)
+    for j in range(1, k):
+        total += Fraction(1, 2) * const_a(j) * const_a(k - j)
+    return total
+
+
+def _mp_fraction(mp, f):
+    return mp.mpf(f.numerator) / mp.mpf(f.denominator)
+
+
+def d_expansion_error(alpha, u, s_terms=4, dps=60):
+    """|lhs - sum_{s<s_terms} d_{2s+1}/u^{2s+1}| in extended precision,
+    where lhs is the log-gamma ratio whose large-u expansion has the
+    d-constants as coefficients.
+
+    The residual after four terms sits far below double rounding of the
+    lhs itself, so the subtraction cannot be done in floats.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        ua = mp.mpf(u)
+        al = mp.mpf(alpha)
+        lhs = (ua * al * (mp.log(ua) - 1) + ua * (1 + al) * mp.log(1 + al)
+               + mp.loggamma(ua + mp.mpf(1) / 2)
+               - mp.loggamma(ua + ua * al + mp.mpf(1) / 2)) / 2
+        alf = Fraction(alpha)  # binary floats are exact rationals
+        partial = mp.fsum(_mp_fraction(mp, const_d(alf, 2 * s + 1))
+                          / ua ** (2 * s + 1)
+                          for s in range(s_terms))
+        return float(abs(lhs - partial))

@@ -13,9 +13,12 @@ from fractions import Fraction
 from scipy.integrate import quad
 
 from rgbpzeros import (approx_all, approx_zero, build_lg_table, make_params,
-                       oracle_zeros, solve_tau0, sweep, taylor_step,
-                       taylor_table)
-from rgbpzeros.lg_coeffs import coeff_E, coeff_G, const_a, d_expansion_error
+                       oracle_zeros, sweep)
+from rgbpzeros.expansion import solve_tau0
+from rgbpzeros.lg_coeffs import coeff_E, coeff_G
+from rgbpzeros.sweep import taylor_step, taylor_table
+
+from reference import const_a, d_expansion_error
 
 TABLE_A101 = {
     (15, 1): complex(-3.1559515225814951808, 12.586271690843017387),

@@ -1,8 +1,8 @@
 import pytest
 from scipy import special
 
-from rgbpzeros import NonpositiveIndex, airy_zero
-from rgbpzeros.airy import airy_zero_seed
+from rgbpzeros import NonpositiveIndex
+from rgbpzeros.airy import airy_zero, airy_zero_seed
 
 
 def test_first_two_zeros():

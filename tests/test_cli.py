@@ -75,9 +75,9 @@ def test_unknown_flag_usage_exit(capsys):
     assert code == 64
 
 
-def test_approx_command(capsys):
-    code, out, _ = run(capsys, "approx", "--n", "30", "--a", "20.2",
-                       "--format", "json")
+def test_zeros_asymptotic_json(capsys):
+    code, out, _ = run(capsys, "zeros", "--n", "30", "--a", "20.2",
+                       "--method", "asymptotic", "--format", "json")
     assert code == 0
     doc = json.loads(out)
     assert doc["meta"]["method"] == "asymptotic"
@@ -108,20 +108,6 @@ def test_validate_rejects_large_degree(capsys):
     code, _, err = run(capsys, "validate", "--n", "500", "--a", "2.3")
     assert code == 64
     assert "ParameterOutOfRange" in err
-
-
-def test_bench_csv_shape(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "BENCH_DEGREES", (5, 10))
-    monkeypatch.setattr(cli, "BENCH_REPEATS", 2)
-    code, out, _ = run(capsys, "bench")
-    assert code == 0
-    lines = [ln for ln in out.splitlines() if ln]
-    assert lines[0] == "n,a,zeros,median_seconds"
-    assert len(lines) == 3
-    for ln in lines[1:]:
-        n, a, count, secs = ln.split(",")
-        assert int(count) == (int(n) + 1) // 2
-        assert float(secs) >= 0.0
 
 
 def test_output_file(capsys, tmp_path):

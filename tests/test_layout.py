@@ -1,0 +1,56 @@
+"""Layout of the package: what the benchmark reaches, what modules share,
+and what the package exports."""
+
+import ast
+import importlib
+import sys
+from pathlib import Path
+
+import rgbpzeros
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "rgbpzeros"
+PUBLIC_API_MAX = 22
+
+
+def _resolve(module, dotted):
+    obj = sys.modules[module]
+    for part in dotted.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_benchmark_targets_resolve(monkeypatch):
+    # perfbench/ reaches the program by module path and attribute name
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    workloads = importlib.import_module("workloads")
+    for module, attr, *_ in tracing.SPAN_TARGETS + tracing.COUNT_TARGETS:
+        assert callable(_resolve(module, attr)), f"{module}.{attr}"
+    # every SW.x / EX.x / LG.x / PA.x / cli.x the workloads use
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    used = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("SW", "EX", "LG", "PA", "cli")}
+    assert ("cli", "main") in used and ("SW", "sweep") in used
+    for holder, attr in sorted(used):
+        assert callable(getattr(getattr(workloads, holder), attr)), f"{holder}.{attr}"
+    # fault injection rebinds these by name
+    assert callable(workloads.cli.sweep) and callable(workloads.cli.approx_all)
+
+
+def test_no_private_imports_between_modules():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found += [f"{path.name}: from .{node.module} import {a.name}"
+                          for a in node.names if a.name.startswith("_")]
+    assert not found, found
+
+
+def test_public_api_is_small():
+    assert len(rgbpzeros.__all__) <= PUBLIC_API_MAX
+    for name in rgbpzeros.__all__:
+        assert hasattr(rgbpzeros, name), name

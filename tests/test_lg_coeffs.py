@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 from scipy.integrate import quad
 
-from rgbpzeros import make_params
-from rgbpzeros.lg_coeffs import (build_lg_table, coeff_E, coeff_G, const_a,
-                                 const_atilde, const_d, d_expansion_error,
-                                 _d_value)
+from rgbpzeros import build_lg_table, make_params
+from rgbpzeros.lg_coeffs import coeff_E, coeff_G, const_d
+
+from reference import const_a, d_expansion_error
 
 
 def params_for_alpha(alpha):
@@ -23,15 +23,12 @@ def params_for_alpha(alpha):
 def test_constant_seeds():
     assert const_a(1) == Fraction(5, 72)
     assert const_a(2) == Fraction(5, 72)
-    assert const_atilde(1) == Fraction(-7, 72)
-    assert const_atilde(2) == Fraction(-7, 72)
 
 
 def test_constant_recursion_values():
     assert const_a(3) == Fraction(3, 2) * Fraction(5, 72) \
         + Fraction(1, 2) * Fraction(5, 72) ** 2
     assert const_a(3) == Fraction(1105, 10368)
-    assert const_atilde(3) == Fraction(-1463, 10368)
 
 
 # -- generator series --------------------------------------------------------
@@ -115,14 +112,14 @@ def test_E_recursion_matches_quadrature():
 # -- d constants -------------------------------------------------------------
 
 def test_d1_values():
-    assert _d_value(0.0, 1) == 0.0
-    assert _d_value(1.0, 1) == pytest.approx(-1.0 / 96.0, rel=1e-15)
+    assert const_d(0.0, 1) == 0.0
+    assert const_d(1.0, 1) == pytest.approx(-1.0 / 96.0, rel=1e-15)
+    assert const_d(Fraction(1), 1) == Fraction(-1, 96)
 
 
 def test_d_requires_odd_index():
-    p = params_for_alpha(0.5)
     with pytest.raises(ValueError):
-        const_d(p, 2)
+        const_d(0.5, 2)
 
 
 def test_d_partial_sum_error_scaling():
@@ -138,8 +135,7 @@ def test_build_lg_table():
     p = make_params(15, 1.01)
     lg = build_lg_table(p)
     assert len(lg.E) == 8  # slot 0 unused
-    assert lg.a_const[3] == Fraction(1105, 10368)
-    assert lg.d(1) == const_d(p, 1)
+    assert lg.d(1) == const_d(p.alpha, 1)
     assert set(lg.d_const) == {1, 3, 5, 7}
 
 

@@ -6,9 +6,9 @@ import pytest
 from scipy.integrate import quad
 
 from rgbpzeros import (OnBranchCut, TurningPointProximity, ZeroArgument,
-                       big_Z, make_params, map_point, xi_closed_form,
-                       zeta_from_xi)
-from rgbpzeros.mapping import zeta_for_airy_zero
+                       make_params)
+from rgbpzeros.mapping import (big_Z, map_point, zeta_for_airy_zero,
+                               zeta_from_xi)
 from rgbpzeros.airy import airy_zero
 
 
@@ -197,9 +197,3 @@ def test_zeta_for_airy_zero_branch_consistency():
         assert abs((2.0 / 3.0) * zeta_from_xi(xi, -1) - (2.0 / 3.0) * zeta) \
             <= 1e-13
         assert abs(zeta_from_xi(xi, -1) - zeta) <= 1e-13 * (1.0 + abs(zeta))
-
-
-def test_zeta_for_airy_zero_rejects_positive():
-    p = make_params(30, 1.2)
-    with pytest.raises(ValueError):
-        zeta_for_airy_zero(p, 1, airy_m=2.0)

@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from rgbpzeros import ZetaVanishes, build_lg_table, make_params, map_point, phase_corrections
-from rgbpzeros.lg_coeffs import const_a
-from rgbpzeros.phase import COUPLING_CONSTANTS, TAIL_CONSTANTS
+from rgbpzeros import ZetaVanishes, build_lg_table, make_params
+from rgbpzeros.mapping import map_point
+from rgbpzeros.phase import (COUPLING_CONSTANTS, TAIL_CONSTANTS,
+                             phase_corrections)
+
+from reference import const_a
 
 
 def left_points(params, rng, count):
@@ -61,19 +64,6 @@ def test_dU1_matches_finite_differences():
         assert abs(mid.du1 - fd) <= 1e-6 * (1.0 + abs(fd))
         fd2 = (up.u2 - dn.u2) / (2 * h)
         assert abs(mid.du2 - fd2) <= 1e-6 * (1.0 + abs(fd2))
-
-
-def test_scripted_tails_toggle_is_equivalent():
-    p = make_params(30, 20.2)
-    lg = build_lg_table(p)
-    rng = random.Random(78)
-    for z in left_points(p, rng, 10):
-        st = map_point(p, z)
-        lit = phase_corrections(p, lg, st, scripted_tails=False)
-        scr = phase_corrections(p, lg, st, scripted_tails=True)
-        for s in range(1, 5):
-            v1, v2 = lit.value(s), scr.value(s)
-            assert abs(v1 - v2) <= 1e-10 * (1.0 + abs(v1))
 
 
 def test_U1_decays_on_positive_real_axis():

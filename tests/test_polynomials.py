@@ -5,14 +5,21 @@ from fractions import Fraction
 
 import pytest
 
-from rgbpzeros import (InvalidDegree, OracleNoConvergence, ZeroArgument,
-                       exact_coeffs, oracle_zeros, poly_coeffs,
-                       relative_residual, theta, theta_laguerre,
-                       theta_with_derivative, upper_half, w0_derivable)
+from rgbpzeros import InvalidDegree, ZeroArgument, oracle_zeros
+from rgbpzeros.polynomials import (poly_coeffs, relative_residual,
+                                   theta_with_derivative, typed_coeffs)
+
+from reference import theta_laguerre, w0_derivable
 
 
 def scaled_value(mant, exp2):
     return mant * 2.0 ** exp2
+
+
+def theta(n, a, z):
+    """Scaled value (m, e) with theta_n(z; a) = m * 2^e."""
+    v, _, e = theta_with_derivative(n, a, z)
+    return v, e
 
 
 # -- coefficients ------------------------------------------------------------
@@ -20,10 +27,10 @@ def scaled_value(mant, exp2):
 def test_coefficients_match_exact_arithmetic():
     for n in range(1, 13):
         for a in (2, Fraction(101, 100), Fraction(-1, 2)):
-            exact = exact_coeffs(n, a)
+            exact = typed_coeffs(n, Fraction(a))
             approx = poly_coeffs(n, float(a))
             for k in range(n + 1):
-                got = approx.coefficient(k)
+                got = math.ldexp(approx.mant[k], approx.exp2[k])
                 want = float(exact[k])
                 assert got == pytest.approx(want, rel=1e-13)
 
@@ -173,7 +180,9 @@ def test_oracle_deterministic():
 
 
 def test_upper_half_filter():
+    # the oracle's order puts the upper half first, which the CLI's
+    # validate command relies on when it keeps the first (n+1)//2 roots
     roots = oracle_zeros(7, 2.3)
-    up = upper_half(roots)
+    up = [r for r in roots if r.imag >= -1e-9]
     assert len(up) == 4  # three conjugate pairs + one real zero
-    assert all(r.imag >= -1e-9 for r in up)
+    assert up == roots[:4]

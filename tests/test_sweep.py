@@ -5,10 +5,10 @@ import sys
 import pytest
 import sympy
 
-from rgbpzeros import (Carrier, StepTooLarge, SweepStalled, approx_all,
-                       approx_zero, build_lg_table, iterate_T, make_params,
-                       omega, oracle_zeros, poly_coeffs, relative_residual,
-                       sweep, taylor_step, taylor_table)
+from rgbpzeros import (StepTooLarge, SweepStalled, approx_all, approx_zero,
+                       build_lg_table, make_params, oracle_zeros, sweep)
+from rgbpzeros.polynomials import poly_coeffs, relative_residual
+from rgbpzeros.sweep import Carrier, iterate_T, omega, taylor_step, taylor_table
 
 # the package attribute ``sweep`` is the function, not the module
 SWEEP_MODULE = sys.modules["rgbpzeros.sweep"]
