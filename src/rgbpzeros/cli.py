@@ -20,7 +20,8 @@ from typing import List, Optional
 from .errors import (ApproximationFailures, InvalidDegree,
                      ParameterOutOfRange, RgbpError, SweepStalled)
 from .expansion import approx_all
-from .params import DEFAULT_DELTA1, DEFAULT_DELTA2, make_params
+from .params import (DEFAULT_DELTA1, DEFAULT_DELTA2, ProblemParams,
+                     make_params)
 from .polynomials import poly_coeffs, oracle_zeros, relative_residual
 from .sweep import (POLISH_BELOW_N, SEED_TERMS_LARGE, SEED_TERMS_SMALL,
                     sweep)
@@ -31,21 +32,6 @@ EXIT_PARTIAL = 2
 EXIT_USAGE = 64
 
 VALIDATE_MAX_N = 200
-
-
-@dataclass
-class RunConfig:
-    command: str
-    n: int = 0
-    a: float = 0.0
-    method: str = "sweep"
-    terms: int = 5
-    eps: float = 1e-12
-    format: str = "csv"
-    output: Optional[str] = None
-    delta1: float = DEFAULT_DELTA1
-    delta2: float = DEFAULT_DELTA2
-    gate: float = 1e-10
 
 
 @dataclass
@@ -90,15 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in ("n", "a", "method", "terms", "eps", "format", "output",
-                 "delta1", "delta2", "gate"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    return cfg
-
-
 def _emit(text: str, path: Optional[str]) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -120,12 +97,13 @@ def _rows_to_csv(rows: List[ZeroRow], partial: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _rows_to_json(cfg: RunConfig, rows: List[ZeroRow], partial: bool) -> str:
-    params = make_params(cfg.n, cfg.a, cfg.delta1, cfg.delta2)
+def _rows_to_json(args: argparse.Namespace, params: ProblemParams,
+                  rows: List[ZeroRow], partial: bool) -> str:
     doc = {
-        "meta": {"n": cfg.n, "a": cfg.a, "u": params.u, "alpha": params.alpha,
-                 "method": rows[0].method if rows else cfg.method,
-                 "terms": cfg.terms, "eps": cfg.eps},
+        "meta": {"n": args.n, "a": args.a, "u": params.u,
+                 "alpha": params.alpha,
+                 "method": rows[0].method if rows else args.method,
+                 "terms": args.terms, "eps": args.eps},
         "conjugates_implied": True,
         "partial": partial,
         "zeros": [{"m": r.m, "re": r.z.real, "im": r.z.imag,
@@ -135,26 +113,25 @@ def _rows_to_json(cfg: RunConfig, rows: List[ZeroRow], partial: bool) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _compute_rows(cfg: RunConfig):
+def _compute_rows(args: argparse.Namespace, params: ProblemParams):
     """(rows, partial_flag) for the configured method."""
-    params = make_params(cfg.n, cfg.a, cfg.delta1, cfg.delta2)
-    coeffs = poly_coeffs(cfg.n, cfg.a)
+    coeffs = poly_coeffs(args.n, args.a)
     partial = False
-    if cfg.method == "sweep":
+    if args.method == "sweep":
         try:
-            zs = sweep(cfg.n, cfg.a, eps=cfg.eps)
+            zs = sweep(args.n, args.a, eps=args.eps)
         except SweepStalled as exc:
             zs = exc.partial
             partial = True
         # expansion terms of the first-zero seed, informational
-        terms = (SEED_TERMS_SMALL if cfg.n < POLISH_BELOW_N
+        terms = (SEED_TERMS_SMALL if args.n < POLISH_BELOW_N
                  else SEED_TERMS_LARGE)
         rows = [ZeroRow(m=i + 1, z=z,
                         residual=relative_residual(coeffs, z),
                         method="sweep", terms=terms)
                 for i, z in enumerate(zs)]
     else:
-        approxes = approx_all(params, terms=cfg.terms)
+        approxes = approx_all(params, terms=args.terms)
         rows = [ZeroRow(m=ap.m, z=ap.t,
                         residual=relative_residual(coeffs, ap.t),
                         method="asymptotic", terms=ap.terms_used)
@@ -162,29 +139,30 @@ def _compute_rows(cfg: RunConfig):
     return rows, partial
 
 
-def cmd_zeros(cfg: RunConfig) -> int:
-    rows, partial = _compute_rows(cfg)
-    if cfg.format == "csv":
-        _emit(_rows_to_csv(rows, partial), cfg.output)
+def cmd_zeros(args: argparse.Namespace) -> int:
+    params = make_params(args.n, args.a, args.delta1, args.delta2)
+    rows, partial = _compute_rows(args, params)
+    if args.format == "csv":
+        _emit(_rows_to_csv(rows, partial), args.output)
     else:
-        _emit(_rows_to_json(cfg, rows, partial), cfg.output)
+        _emit(_rows_to_json(args, params, rows, partial), args.output)
     return EXIT_PARTIAL if partial else EXIT_OK
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    if cfg.n > VALIDATE_MAX_N:
+def cmd_validate(args: argparse.Namespace) -> int:
+    if args.n > VALIDATE_MAX_N:
         raise ParameterOutOfRange(
             f"validate is limited to n <= {VALIDATE_MAX_N} (oracle bound)")
-    params = make_params(cfg.n, cfg.a, cfg.delta1, cfg.delta2)
-    truth = [z for z in oracle_zeros(cfg.n, cfg.a) if z.imag >= -1e-12]
+    params = make_params(args.n, args.a, args.delta1, args.delta2)
+    truth = [z for z in oracle_zeros(args.n, args.a) if z.imag >= -1e-12]
     truth = truth[:params.num_upper_zeros]
 
     def nearest_err(z: complex) -> float:
         r = min(truth, key=lambda r: abs(r - z))
         return abs(z - r) / abs(r)
 
-    swept = sweep(cfg.n, cfg.a, eps=cfg.eps)
-    approxes = approx_all(params, terms=cfg.terms)
+    swept = sweep(args.n, args.a, eps=args.eps)
+    approxes = approx_all(params, terms=args.terms)
     sweep_errs = [nearest_err(z) for z in swept]
     approx_errs = [nearest_err(ap.t) for ap in approxes]
 
@@ -192,16 +170,17 @@ def cmd_validate(cfg: RunConfig) -> int:
         return {"per_m": errs, "max": max(errs), "median":
                 statistics.median(errs)}
 
-    ok = max(sweep_errs) <= cfg.gate and max(approx_errs) <= cfg.gate
+    ok = max(sweep_errs) <= args.gate and max(approx_errs) <= args.gate
     report = {
-        "meta": {"n": cfg.n, "a": cfg.a, "u": params.u, "alpha": params.alpha,
-                 "method": "both", "terms": cfg.terms, "eps": cfg.eps},
-        "gate": cfg.gate,
+        "meta": {"n": args.n, "a": args.a, "u": params.u,
+                 "alpha": params.alpha, "method": "both",
+                 "terms": args.terms, "eps": args.eps},
+        "gate": args.gate,
         "sweep_vs_oracle": summary(sweep_errs),
         "asymptotic_vs_oracle": summary(approx_errs),
         "pass": ok,
     }
-    _emit(json.dumps(report, indent=2) + "\n", cfg.output)
+    _emit(json.dumps(report, indent=2) + "\n", args.output)
     return EXIT_OK if ok else EXIT_FAILURE
 
 
@@ -212,10 +191,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         # argparse uses 2 for usage errors; remap to the contract value
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    cfg = _config_from_args(args)
     handlers = {"zeros": cmd_zeros, "validate": cmd_validate}
     try:
-        return handlers[cfg.command](cfg)
+        return handlers[args.command](args)
     except (InvalidDegree, ParameterOutOfRange) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE

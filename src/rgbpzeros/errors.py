@@ -10,7 +10,9 @@ class InvalidDegree(RgbpError):
 
 
 class ParameterOutOfRange(RgbpError):
-    """Parameter a violates the admissibility window for the given degree."""
+    """A parameter lies outside its admissible range: a outside the window
+    for the degree, delta1 or delta2 outside theirs, or a tolerance eps
+    that is not finite and positive."""
 
 
 class OnBranchCut(RgbpError):

@@ -3,22 +3,21 @@
 For each index m the scaled zero has an expansion  u * sum_s tau_s / u^(2s).
 The leading coefficient tau_0 solves a branch-sensitive transcendental
 equation (Newton on the shifted unknown w = tau_0 + 1/2); the next four
-coefficients follow from a closed cascade driven by the Airy-variable
-derivatives and the phase-correction terms.
+coefficients follow from a closed cascade driven by the zeta jet that
+``map_point`` returns at tau_0 and the correction jets [U1, U2, U3, U4]
+that ``phase_corrections`` builds there.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .airy import airy_zero
 from .errors import ApproximationFailures, NewtonDivergence
 from .jets import JetOps
 from .lg_coeffs import LgTable, build_lg_table
-from .mapping import map_point, zeta_for_airy_zero
+from .mapping import map_point, xi_closed_form, zeta_for_airy_zero
 from .params import ProblemParams
 from .phase import phase_corrections
 
@@ -43,14 +42,8 @@ def _tau0_residual(params: ProblemParams, tau: complex, xi_target: complex):
     """Residual of the implicit leading-order equation and its derivative."""
     al = params.alpha
     Z = -cmath.sqrt((tau + 0.5 * al) ** 2 + 1.0 + al)
-    val = (Z
-           + (1.0 + 0.5 * al) * cmath.log(
-               tau / (4.0 * Z + 2.0 * al * (Z + tau + 2.0) + 4.0 + al * al))
-           + 0.5 * al * (cmath.log(-2.0 * Z - 2.0 * tau - al) + math.pi * 1j)
-           + 0.5 * cmath.log(1.0 + al)
-           + (2.0 + 0.5 * al) * math.log(2.0)
-           - 0.5 * (1.0 + al) * math.pi * 1j)
-    return val - xi_target, Z / tau  # F, F' (= xi')
+    # F and F' (= xi')
+    return xi_closed_form(params, tau, Z, -1) - xi_target, Z / tau
 
 
 def solve_tau0(params: ProblemParams, m: int):
@@ -62,8 +55,7 @@ def solve_tau0(params: ProblemParams, m: int):
     if not 1 <= m <= params.num_upper_zeros:
         raise ValueError(
             f"m={m} outside 1..{params.num_upper_zeros} for n={params.n}")
-    am = airy_zero(m)
-    xi_target = -2j * abs(am) ** 1.5 / (3.0 * params.u)
+    _, xi_target = zeta_for_airy_zero(params, m)
     last_exc: Optional[Exception] = None
     for seed in _RETRY_SEEDS:
         w = seed
@@ -85,25 +77,21 @@ def solve_tau0(params: ProblemParams, m: int):
         + (f" ({last_exc})" if last_exc else ""))
 
 
-def tau_cascade(params: ProblemParams, lg: LgTable, m: int, tau0: complex,
-                terms: int = 5, *,
-                newton_residual: float = 0.0,
-                newton_iters: int = 0) -> ZeroApprox:
-    """Coefficients tau_1..tau_4 and the assembled zero approximation."""
+def approx_zero(params: ProblemParams, lg: LgTable, m: int,
+                terms: int = 5) -> ZeroApprox:
+    """tau_0 by Newton, then tau_1..tau_4 and the assembled approximation."""
     if not 1 <= terms <= 5:
         raise ValueError("terms must be in 1..5")
+    tau0, resid, iters = solve_tau0(params, m)
     zeta0, xi0 = zeta_for_airy_zero(params, m)
     state = map_point(params, tau0, xi_value=xi0, zeta_value=zeta0)
-    ups = phase_corrections(params, lg, state)
-    zj = state.jets["zeta"]
-    zd1 = JetOps.derivative(zj, 1)
-    zd2 = JetOps.derivative(zj, 2)
-    zd3 = JetOps.derivative(zj, 3)
-    zd4 = JetOps.derivative(zj, 4)
-    u1, du1, d2u1, d3u1 = ups.u1, ups.du1, ups.d2u1, ups.d3u1
-    u2, du2, d2u2 = ups.u2, ups.du2, ups.d2u2
-    u3, du3 = ups.u3, ups.du3
-    u4 = ups.u4
+    U1, U2, U3, U4 = phase_corrections(lg, state)
+    d = JetOps.derivative
+    zd1, zd2, zd3, zd4 = (d(state.zeta, k) for k in range(1, 5))
+    u1, du1, d2u1, d3u1 = U1[0], d(U1, 1), d(U1, 2), d(U1, 3)
+    u2, du2, d2u2 = U2[0], d(U2, 1), d(U2, 2)
+    u3, du3 = U3[0], d(U3, 1)
+    u4 = U4[0]
 
     t1 = -u1 / zd1
     t2 = -(t1 * t1 * zd2 + 2 * t1 * du1 + 2 * u2) / (2 * zd1)
@@ -122,27 +110,17 @@ def tau_cascade(params: ProblemParams, lg: LgTable, m: int, tau0: complex,
         # approximation error of the single real zero (odd n, last m)
         t = complex(t.real, 0.0)
     return ZeroApprox(m=m, tau=tau, t=t, terms_used=terms,
-                      newton_residual=newton_residual,
-                      newton_iters=newton_iters,
+                      newton_residual=resid, newton_iters=iters,
                       low_confidence=params.n < LOW_CONFIDENCE_N)
 
 
-def approx_zero(params: ProblemParams, lg: LgTable, m: int,
-                terms: int = 5) -> ZeroApprox:
-    tau0, resid, iters = solve_tau0(params, m)
-    return tau_cascade(params, lg, m, tau0, terms,
-                       newton_residual=resid, newton_iters=iters)
-
-
-def approx_all(params: ProblemParams, terms: int = 5,
-               lg: Optional[LgTable] = None) -> List[ZeroApprox]:
+def approx_all(params: ProblemParams, terms: int = 5) -> List[ZeroApprox]:
     """One approximation per m = 1..floor((n+1)/2).
 
     Raises ApproximationFailures (carrying the successful subset) if any
     index fails.
     """
-    if lg is None:
-        lg = build_lg_table(params)
+    lg = build_lg_table(params)
     results: List[ZeroApprox] = []
     failures = []
     for m in range(1, params.num_upper_zeros + 1):

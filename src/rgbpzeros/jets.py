@@ -82,12 +82,6 @@ class JetOps:
             r.append(da[k] / (k + 1))
         return r
 
-    def power(self, a: Jet, p: int) -> Jet:
-        r = self.const(1.0)
-        for _ in range(p):
-            r = self.mul(r, a)
-        return r
-
     @staticmethod
     def derivative(a: Jet, k: int) -> complex:
         """k-th derivative encoded by the jet."""

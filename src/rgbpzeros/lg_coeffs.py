@@ -101,9 +101,6 @@ class LgTable:
     E: List[PhiSeries]            # 1-indexed, E[0] unused
     d_const: Dict[int, float]
 
-    def d(self, s_odd: int) -> float:
-        return self.d_const[s_odd]
-
 
 def build_lg_table(params: ProblemParams) -> LgTable:
     return LgTable(E=coeff_E(params, S_MAX),

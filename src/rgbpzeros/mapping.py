@@ -10,7 +10,8 @@ Points with Re(z + alpha/2) < 0 -- where the whole zero pipeline lives --
 use the negated principal square root for Z and the log form whose branch
 is correct there.
 
-All derivatives are propagated through jet arithmetic; no numerical
+``map_point`` returns the jets in z of phi, sin(phi), cos(phi), xi and zeta
+at one point, all propagated through jet arithmetic; no numerical
 differentiation happens in this module.
 """
 
@@ -18,8 +19,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from .airy import airy_zero
 from .errors import OnBranchCut, TurningPointProximity, ZeroArgument
@@ -36,17 +37,15 @@ CUT_TOL = 1e-8
 
 @dataclass
 class MapState:
-    """All mapped quantities and derivatives at a single point z."""
+    """Jets in z of the mapped quantities at z; each value is at index 0."""
 
     z: complex
     Z: complex
-    phi: complex
-    xi: complex
-    zeta: complex
-    d_xi: complex                # xi'
-    d_phi: complex               # phi'
-    d_zeta: List[complex]        # [zeta', zeta'', zeta''', zeta'''']
-    jets: dict = field(default_factory=dict, repr=False)  # internal carriers
+    phi: Jet
+    sin: Jet     # sin(phi) = sigma / Z
+    cos: Jet     # cos(phi) = (z + alpha/2) / Z
+    xi: Jet
+    zeta: Jet
 
 
 def _branch_sign(params: ProblemParams, z: complex) -> int:
@@ -63,16 +62,13 @@ def _branch_sign(params: ProblemParams, z: complex) -> int:
     return 1  # on the ray above the turning point both sides agree
 
 
-def _resolve_Z(params: ProblemParams, z: complex) -> complex:
-    """Branch-resolved Z without the half-plane guard.
+def _resolve_Z(params: ProblemParams, z: complex, sign: int) -> complex:
+    """Z on the side ``sign`` of the cut, without the half-plane guard.
 
     Also correct slightly below the real axis (where approximations of the
     real zero of odd-degree polynomials can land), by continuation of the
     left/right branch across the axis.
     """
-    if z == 0:
-        raise ZeroArgument("Z is undefined at the origin")
-    sign = _branch_sign(params, z)
     w = (z + 0.5 * params.alpha) ** 2 + 1.0 + params.alpha
     if w.imag == 0.0 and w.real < 0.0:
         w = complex(w.real, 0.0)  # force the upper-side limit on the ray
@@ -84,7 +80,9 @@ def big_Z(params: ProblemParams, z: complex) -> complex:
     z = complex(z)
     if z.imag < -CUT_TOL:
         raise ValueError("big_Z is defined on the closed upper half-plane")
-    return _resolve_Z(params, z)
+    if z == 0:
+        raise ZeroArgument("Z is undefined at the origin")
+    return _resolve_Z(params, z, _branch_sign(params, z))
 
 
 def xi_closed_form(params: ProblemParams, z: complex, Z: complex,
@@ -93,20 +91,19 @@ def xi_closed_form(params: ProblemParams, z: complex, Z: complex,
 
     Right of the cut the direct form applies; left of the cut the second
     logarithm is rewritten (argument negated, +pi*i compensation) so the
-    principal branch is the correct one.
+    principal branch is the correct one.  The constant terms are added
+    last, one at a time, which fixes the rounding of the tau_0 iteration.
     """
     al = params.alpha
-    common = (0.5 * cmath.log(1.0 + al)
-              + (2.0 + 0.5 * al) * math.log(2.0)
-              - 0.5 * (1.0 + al) * math.pi * 1j)
     denom = 4.0 * Z + 2.0 * al * (Z + z + 2.0) + 4.0 + al * al
     if sign > 0:
-        return (Z - (1.0 + 0.5 * al) * cmath.log(denom / z)
-                + 0.5 * al * cmath.log(2.0 * Z + 2.0 * z + al)
-                + common)
-    return (Z + (1.0 + 0.5 * al) * cmath.log(z / denom)
-            + 0.5 * al * (cmath.log(-2.0 * Z - 2.0 * z - al) + math.pi * 1j)
-            + common)
+        xi = (Z - (1.0 + 0.5 * al) * cmath.log(denom / z)
+              + 0.5 * al * cmath.log(2.0 * Z + 2.0 * z + al))
+    else:
+        xi = (Z + (1.0 + 0.5 * al) * cmath.log(z / denom)
+              + 0.5 * al * (cmath.log(-2.0 * Z - 2.0 * z - al) + math.pi * 1j))
+    return (xi + 0.5 * cmath.log(1.0 + al) + (2.0 + 0.5 * al) * math.log(2.0)
+            - 0.5 * (1.0 + al) * math.pi * 1j)
 
 
 def zeta_from_xi(xi: complex, sign: int) -> complex:
@@ -132,7 +129,7 @@ def zeta_for_airy_zero(params: ProblemParams, m: int):
 def map_point(params: ProblemParams, z: complex, *,
               xi_value: Optional[complex] = None,
               zeta_value: Optional[complex] = None) -> MapState:
-    """Full mapped state at z, including the derivative chain.
+    """Jets of phi, sin(phi), cos(phi), xi and zeta at z.
 
     ``xi_value`` / ``zeta_value`` override the closed forms; the zero
     pipeline pins them to the exact Airy-zero level-set values so no branch
@@ -151,7 +148,7 @@ def map_point(params: ProblemParams, z: complex, *,
     zj = J.variable(z)
     zpa = J.add(zj, J.const(0.5 * al))
     wj = J.add(J.mul(zpa, zpa), J.const(1.0 + al))
-    Z0 = _resolve_Z(params, z)
+    Z0 = _resolve_Z(params, z, sign)
     Zj = J.sqrt_with_value(wj, Z0)
     sin_j = J.div(J.const(sg), Zj)
     cos_j = J.div(zpa, Zj)
@@ -174,11 +171,5 @@ def map_point(params: ProblemParams, z: complex, *,
         for k in range(i + 1):
             s += ratio[k] * zeta_j[i - k]
         zeta_j[i + 1] = s / (i + 1)
-
-    d_zeta = [JetOps.derivative(zeta_j, k) for k in range(1, _JET_ORDER)]
-    return MapState(
-        z=z, Z=Z0, phi=phi0, xi=xi0, zeta=complex(zeta0),
-        d_xi=dxi_j[0], d_phi=dphi_j[0], d_zeta=d_zeta,
-        jets={"ops": J, "z": zj, "Z": Zj, "sin": sin_j, "cos": cos_j,
-              "phi": phi_j, "xi": xi_j, "zeta": zeta_j},
-    )
+    return MapState(z=z, Z=Z0, phi=phi_j, sin=sin_j, cos=cos_j, xi=xi_j,
+                    zeta=zeta_j)

@@ -41,15 +41,16 @@ def make_params(n: int, a: float,
                 delta2: float = DEFAULT_DELTA2) -> ProblemParams:
     """Validate (n, a) and derive the fixed per-problem constants.
 
-    Raises InvalidDegree for n < 1 and ParameterOutOfRange when ``a`` falls
-    outside the admissibility window controlled by delta1 and delta2.
+    Raises InvalidDegree for n < 1 and ParameterOutOfRange when delta1 is
+    not in (0, 1), delta2 is not positive, or ``a`` falls outside the
+    admissibility window they control.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InvalidDegree(f"degree must be a positive integer, got {n!r}")
     if not 0.0 < delta1 < 1.0:
-        raise ValueError(f"delta1 must lie in (0, 1), got {delta1}")
-    if delta2 <= 0.0:
-        raise ValueError(f"delta2 must be positive, got {delta2}")
+        raise ParameterOutOfRange(f"delta1 must lie in (0, 1), got {delta1}")
+    if not delta2 > 0.0:
+        raise ParameterOutOfRange(f"delta2 must be positive, got {delta2}")
     a = float(a)
     lo = -delta1 * n + 1.5
     hi = delta2 * n

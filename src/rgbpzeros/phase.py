@@ -3,14 +3,14 @@
 The zero condition equates a corrected Airy variable to an Airy-zero level;
 the corrections enter as a series in inverse even powers of u whose first
 four coefficients are assembled here from the E-coefficients, the odd
-d-constants, and inverse powers of the Airy variable.  Everything is
-carried as jets so the derivative orders needed downstream (3, 2, 1, 0
-respectively) fall out of the same computation.
+d-constants, and inverse powers of the Airy variable.  ``phase_corrections``
+returns them as the jets [U1, U2, U3, U4] in z, so the derivative orders
+needed downstream (3, 2, 1, 0 respectively) fall out of the same
+computation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite
 from typing import List
@@ -19,7 +19,6 @@ from .errors import ZetaVanishes
 from .jets import Jet, JetOps
 from .lg_coeffs import LgTable
 from .mapping import MapState
-from .params import ProblemParams
 
 ZETA_TOL = 1e-8
 
@@ -33,65 +32,24 @@ COUPLING_CONSTANTS = (Fraction(5, 32), Fraction(25, 128), Fraction(1105, 2048),
                       Fraction(414125, 65536))
 
 
-@dataclass(frozen=True)
-class PhaseCorrections:
-    """Values and z-derivatives of the first four correction coefficients."""
-
-    jets: List[Jet]  # jets[s-1] is the coefficient of u^{-2s}
-
-    def value(self, s: int) -> complex:
-        return self.jets[s - 1][0]
-
-    def deriv(self, s: int, k: int) -> complex:
-        return JetOps.derivative(self.jets[s - 1], k)
-
-    # named accessors for the bundle contract
-    @property
-    def u1(self): return self.value(1)
-    @property
-    def du1(self): return self.deriv(1, 1)
-    @property
-    def d2u1(self): return self.deriv(1, 2)
-    @property
-    def d3u1(self): return self.deriv(1, 3)
-    @property
-    def u2(self): return self.value(2)
-    @property
-    def du2(self): return self.deriv(2, 1)
-    @property
-    def d2u2(self): return self.deriv(2, 2)
-    @property
-    def u3(self): return self.value(3)
-    @property
-    def du3(self): return self.deriv(3, 1)
-    @property
-    def u4(self): return self.value(4)
-
-
-def phase_corrections(params: ProblemParams, lg: LgTable,
-                      state: MapState) -> PhaseCorrections:
-    """Build the correction jets at the point carried by ``state``."""
-    if abs(state.zeta) < ZETA_TOL:
+def phase_corrections(lg: LgTable, state: MapState) -> List[Jet]:
+    """Jets [U1, U2, U3, U4] at ``state.z``; U_s multiplies u^{-2s}."""
+    zeta_j = state.zeta
+    if abs(zeta_j[0]) < ZETA_TOL:
         raise ZetaVanishes(
-            f"|zeta|={abs(state.zeta):.3e} too small at z={state.z}")
-    J: JetOps = state.jets["ops"]
-    phi_j, sin_j, cos_j = state.jets["phi"], state.jets["sin"], state.jets["cos"]
-    xi_j, zeta_j = state.jets["xi"], state.jets["zeta"]
-
-    def E_jet(s: int) -> Jet:
-        return lg.E[s].evaluate_jet(phi_j, sin_j, cos_j, J)
-
+            f"|zeta|={abs(zeta_j[0]):.3e} too small at z={state.z}")
+    J = JetOps(len(zeta_j))
     zinv = J.div(J.const(1.0), zeta_j)
-
-    def zeta_pow(p: int) -> Jet:
-        return J.power(zinv, p)
+    zeta_pow = [J.const(1.0)]  # zeta_pow[p] = zeta^-p
+    for _ in range(11):
+        zeta_pow.append(J.mul(zeta_pow[-1], zinv))
 
     def odd_term(s_odd: int, tail: Fraction, tail_pow: int) -> Jet:
         """3 xi (E_s + d_s)/(2 zeta^2) minus the rational tail constant."""
-        base = J.mul(J.scale(J.mul(xi_j, J.add(E_jet(s_odd),
-                                               J.const(lg.d(s_odd)))), 1.5),
-                     zeta_pow(2))
-        return J.sub(base, J.scale(zeta_pow(tail_pow), float(tail)))
+        E = lg.E[s_odd].evaluate_jet(state.phi, state.sin, state.cos, J)
+        base = J.mul(J.scale(J.mul(state.xi, J.add(
+            E, J.const(lg.d_const[s_odd]))), 1.5), zeta_pow[2])
+        return J.sub(base, J.scale(zeta_pow[tail_pow], float(tail)))
 
     c5_32, c25_128, c1105_2048, c175_768, c12155_8192, c414125_65536 = (
         float(f) for f in COUPLING_CONSTANTS)
@@ -99,35 +57,35 @@ def phase_corrections(params: ProblemParams, lg: LgTable,
     U1 = odd_term(1, TAIL_CONSTANTS[0], 2)
     U1sq = J.mul(U1, U1)
     U2 = J.add(
-        J.add(J.scale(J.mul(U1sq, zeta_pow(1)), -0.25),
-              J.scale(J.mul(U1, zeta_pow(3)), c5_32)),
+        J.add(J.scale(J.mul(U1sq, zeta_pow[1]), -0.25),
+              J.scale(J.mul(U1, zeta_pow[3]), c5_32)),
         odd_term(3, TAIL_CONSTANTS[1], 5))
     U3 = J.const(0.0)
-    for t in (J.scale(J.mul(J.mul(U1, U2), zeta_pow(1)), -0.5),
-              J.scale(J.mul(J.mul(U1sq, U1), zeta_pow(2)), 1.0 / 24.0),
-              J.scale(J.mul(U1sq, zeta_pow(4)), -c25_128),
-              J.scale(J.mul(U2, zeta_pow(3)), c5_32),
-              J.scale(J.mul(U1, zeta_pow(6)), c1105_2048),
+    for t in (J.scale(J.mul(J.mul(U1, U2), zeta_pow[1]), -0.5),
+              J.scale(J.mul(J.mul(U1sq, U1), zeta_pow[2]), 1.0 / 24.0),
+              J.scale(J.mul(U1sq, zeta_pow[4]), -c25_128),
+              J.scale(J.mul(U2, zeta_pow[3]), c5_32),
+              J.scale(J.mul(U1, zeta_pow[6]), c1105_2048),
               odd_term(5, TAIL_CONSTANTS[2], 8)):
         U3 = J.add(U3, t)
     U4 = J.const(0.0)
-    for t in (J.scale(J.mul(J.mul(U1sq, U1sq), zeta_pow(3)), -1.0 / 64.0),
-              J.scale(J.mul(J.mul(U1sq, U2), zeta_pow(2)), 1.0 / 8.0),
-              J.scale(J.mul(J.mul(U1sq, U1), zeta_pow(5)), c175_768),
-              J.scale(J.mul(J.mul(U1, U3), zeta_pow(1)), -0.5),
-              J.scale(J.mul(J.mul(U1, U2), zeta_pow(4)), -25.0 / 64.0),
-              J.scale(J.mul(J.mul(U2, U2), zeta_pow(1)), -0.25),
-              J.scale(J.mul(U1sq, zeta_pow(7)), -c12155_8192),
-              J.scale(J.mul(U3, zeta_pow(3)), c5_32),
-              J.scale(J.mul(U2, zeta_pow(6)), c1105_2048),
-              J.scale(J.mul(U1, zeta_pow(9)), c414125_65536),
+    for t in (J.scale(J.mul(J.mul(U1sq, U1sq), zeta_pow[3]), -1.0 / 64.0),
+              J.scale(J.mul(J.mul(U1sq, U2), zeta_pow[2]), 1.0 / 8.0),
+              J.scale(J.mul(J.mul(U1sq, U1), zeta_pow[5]), c175_768),
+              J.scale(J.mul(J.mul(U1, U3), zeta_pow[1]), -0.5),
+              J.scale(J.mul(J.mul(U1, U2), zeta_pow[4]), -25.0 / 64.0),
+              J.scale(J.mul(J.mul(U2, U2), zeta_pow[1]), -0.25),
+              J.scale(J.mul(U1sq, zeta_pow[7]), -c12155_8192),
+              J.scale(J.mul(U3, zeta_pow[3]), c5_32),
+              J.scale(J.mul(U2, zeta_pow[6]), c1105_2048),
+              J.scale(J.mul(U1, zeta_pow[9]), c414125_65536),
               odd_term(7, TAIL_CONSTANTS[3], 11)):
         U4 = J.add(U4, t)
 
-    result = PhaseCorrections(jets=[U1, U2, U3, U4])
-    for jet in result.jets:
+    ups = [U1, U2, U3, U4]
+    for jet in ups:
         for c in jet:
             if not (isfinite(c.real) and isfinite(c.imag)):
                 raise ZetaVanishes(
                     f"non-finite correction coefficient at z={state.z}")
-    return result
+    return ups

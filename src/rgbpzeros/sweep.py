@@ -20,7 +20,8 @@ import cmath
 import math
 from typing import List
 
-from .errors import IterationDivergence, SweepStalled, StepTooLarge
+from .errors import (IterationDivergence, ParameterOutOfRange, StepTooLarge,
+                     SweepStalled)
 from .expansion import approx_zero
 from .lg_coeffs import build_lg_table
 from .params import make_params
@@ -178,6 +179,9 @@ def sweep(n: int, a: float, eps: float = 1e-12) -> List[complex]:
     the single real zero (its imaginary part snapped to exactly zero).
     """
     make_params(n, a)  # validate up front
+    if not 0.0 < eps < math.inf:
+        raise ParameterOutOfRange(
+            f"eps must be finite and positive, got {eps}")
     M = (n + 1) // 2
     zeros = [_first_zero(n, a)]
     for _ in range(1, M):

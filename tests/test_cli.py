@@ -69,6 +69,20 @@ def test_parameter_out_of_range_usage_exit(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("option,value", [
+    ("--delta1", "1.5"), ("--delta2", "-1"),
+    ("--eps", "0"), ("--eps", "-1"), ("--eps", "nan"), ("--eps", "inf"),
+])
+def test_bad_option_value_usage_exit(capsys, option, value):
+    # usage errors, not a traceback (exit 1) or a fake stall (exit 2)
+    code, out, err = run(capsys, "zeros", "--n", "40", "--a", "2",
+                         option, value)
+    assert code == 64
+    assert out == ""
+    assert err.startswith("ParameterOutOfRange: ")
+    assert err.count("\n") == 1
+
+
 def test_unknown_flag_usage_exit(capsys):
     code, _, _ = run(capsys, "zeros", "--n", "10", "--a", "2.0",
                      "--frobnicate")

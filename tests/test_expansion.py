@@ -2,7 +2,9 @@ import pytest
 
 from rgbpzeros import (approx_all, approx_zero, build_lg_table, make_params,
                        oracle_zeros)
-from rgbpzeros.expansion import solve_tau0, tau_cascade
+from rgbpzeros.expansion import solve_tau0
+from rgbpzeros.jets import JetOps
+from rgbpzeros.trig_series import PhiSeries
 
 NEWTON_ANCHOR_W = complex(-0.0935299175, 0.310545771)
 
@@ -70,11 +72,10 @@ def test_terms_truncation_improves_accuracy():
 def test_terms_bounds():
     p = make_params(30, 1.2)
     lg = build_lg_table(p)
-    tau0, _, _ = solve_tau0(p, 1)
     with pytest.raises(ValueError):
-        tau_cascade(p, lg, 1, tau0, terms=0)
+        approx_zero(p, lg, 1, terms=0)
     with pytest.raises(ValueError):
-        tau_cascade(p, lg, 1, tau0, terms=6)
+        approx_zero(p, lg, 1, terms=6)
 
 
 def test_approx_all_counts_and_ordering():
@@ -110,3 +111,25 @@ def test_residual_decay_in_terms():
     floor = 1e-15
     assert all(x > y or x <= floor for x, y in zip(resids, resids[1:]))
     assert resids[4] <= 1e-4 * resids[0]
+
+
+def test_expansion_work_per_zero(monkeypatch):
+    # jet work of one zero: the zeta powers are built once, and the four
+    # odd E-coefficients are each evaluated once
+    counts = {"mul": 0, "evaluate_jet": 0}
+    mul, evaluate_jet = JetOps.mul, PhiSeries.evaluate_jet
+
+    def counted_mul(self, a, b):
+        counts["mul"] += 1
+        return mul(self, a, b)
+
+    def counted_evaluate_jet(self, *args):
+        counts["evaluate_jet"] += 1
+        return evaluate_jet(self, *args)
+
+    monkeypatch.setattr(JetOps, "mul", counted_mul)
+    monkeypatch.setattr(PhiSeries, "evaluate_jet", counted_evaluate_jet)
+    zeros = len(approx_all(make_params(200, 20.2)))
+    assert zeros == 100
+    assert counts["mul"] <= 470 * zeros
+    assert counts["evaluate_jet"] == 4 * zeros

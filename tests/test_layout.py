@@ -54,3 +54,24 @@ def test_public_api_is_small():
     assert len(rgbpzeros.__all__) <= PUBLIC_API_MAX
     for name in rgbpzeros.__all__:
         assert hasattr(rgbpzeros, name), name
+
+
+def test_no_unused_imports():
+    # no linter runs in CI; an import no code reads is dead weight
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.split(".")[0]
+                             for a in node.names}
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                imported |= {a.asname or a.name for a in node.names}
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        found += [f"{path.name}: {name}" for name in sorted(imported - used)]
+    assert not found, found

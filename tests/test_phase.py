@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from rgbpzeros import ZetaVanishes, build_lg_table, make_params
+from rgbpzeros.jets import JetOps
 from rgbpzeros.mapping import map_point
 from rgbpzeros.phase import (COUPLING_CONSTANTS, TAIL_CONSTANTS,
                              phase_corrections)
@@ -42,13 +43,12 @@ def test_finite_values_and_derivative_layout():
     p = make_params(15, 1.01)
     lg = build_lg_table(p)
     st = map_point(p, -2.0 + 3.0j)
-    ups = phase_corrections(p, lg, st)
-    # value/deriv accessors agree with the named properties
-    assert ups.u1 == ups.value(1)
-    assert ups.du2 == ups.deriv(2, 1)
-    assert ups.d3u1 == ups.deriv(1, 3)
-    for s in range(1, 5):
-        assert abs(ups.value(s)) < 1e6
+    ups = phase_corrections(lg, st)
+    # four jets [U1, U2, U3, U4] of the map's order, value at index 0
+    assert len(ups) == 4
+    assert all(len(jet) == len(st.zeta) for jet in ups)
+    for jet in ups:
+        assert abs(jet[0]) < 1e6
 
 
 def test_dU1_matches_finite_differences():
@@ -57,13 +57,14 @@ def test_dU1_matches_finite_differences():
     rng = random.Random(77)
     h = 1e-5
     for z in left_points(p, rng, 20):
-        mid = phase_corrections(p, lg, map_point(p, z))
-        up = phase_corrections(p, lg, map_point(p, z + h))
-        dn = phase_corrections(p, lg, map_point(p, z - h))
-        fd = (up.u1 - dn.u1) / (2 * h)
-        assert abs(mid.du1 - fd) <= 1e-6 * (1.0 + abs(fd))
-        fd2 = (up.u2 - dn.u2) / (2 * h)
-        assert abs(mid.du2 - fd2) <= 1e-6 * (1.0 + abs(fd2))
+        mid = phase_corrections(lg, map_point(p, z))
+        up = phase_corrections(lg, map_point(p, z + h))
+        dn = phase_corrections(lg, map_point(p, z - h))
+        dU1, dU2 = (JetOps.derivative(jet, 1) for jet in mid[:2])
+        fd = (up[0][0] - dn[0][0]) / (2 * h)
+        assert abs(dU1 - fd) <= 1e-6 * (1.0 + abs(fd))
+        fd2 = (up[1][0] - dn[1][0]) / (2 * h)
+        assert abs(dU2 - fd2) <= 1e-6 * (1.0 + abs(fd2))
 
 
 def test_U1_decays_on_positive_real_axis():
@@ -71,8 +72,8 @@ def test_U1_decays_on_positive_real_axis():
     lg = build_lg_table(p)
     prev = None
     for x in (5.0, 20.0, 100.0, 500.0):
-        ups = phase_corrections(p, lg, map_point(p, complex(x, 0.0)))
-        mag = abs(ups.u1)
+        U1 = phase_corrections(lg, map_point(p, complex(x, 0.0)))[0]
+        mag = abs(U1[0])
         if prev is not None:
             assert mag < prev
         prev = mag
@@ -85,7 +86,7 @@ def test_zeta_vanishes_guard():
     # force a vanishing Airy variable through the pinning override
     st = map_point(p, -2.0 + 3.0j, zeta_value=1e-10)
     with pytest.raises(ZetaVanishes):
-        phase_corrections(p, lg, st)
+        phase_corrections(lg, st)
 
 
 def test_bounded_near_turning_point():
@@ -95,6 +96,5 @@ def test_bounded_near_turning_point():
     scale = 1.0 + abs(p.z1)
     z = p.z1 + 1e-2 * scale * (-1.0 + 0.5j) / abs(-1.0 + 0.5j)
     st = map_point(p, z)
-    ups = phase_corrections(p, lg, st)
-    for s in range(1, 5):
-        assert abs(ups.value(s)) < 1e8
+    for jet in phase_corrections(lg, st):
+        assert abs(jet[0]) < 1e8
