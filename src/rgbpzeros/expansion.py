@@ -77,11 +77,15 @@ def solve_tau0(params: ProblemParams, m: int):
         + (f" ({last_exc})" if last_exc else ""))
 
 
+def _check_terms(terms: int) -> None:
+    if not 1 <= terms <= 5:
+        raise ValueError("terms must be in 1..5")
+
+
 def approx_zero(params: ProblemParams, lg: LgTable, m: int,
                 terms: int = 5) -> ZeroApprox:
     """tau_0 by Newton, then tau_1..tau_4 and the assembled approximation."""
-    if not 1 <= terms <= 5:
-        raise ValueError("terms must be in 1..5")
+    _check_terms(terms)
     tau0, resid, iters = solve_tau0(params, m)
     zeta0, xi0 = zeta_for_airy_zero(params, m)
     state = map_point(params, tau0, xi_value=xi0, zeta_value=zeta0)
@@ -117,9 +121,10 @@ def approx_zero(params: ProblemParams, lg: LgTable, m: int,
 def approx_all(params: ProblemParams, terms: int = 5) -> List[ZeroApprox]:
     """One approximation per m = 1..floor((n+1)/2).
 
-    Raises ApproximationFailures (carrying the successful subset) if any
-    index fails.
+    Raises ValueError for a bad ``terms``, and ApproximationFailures
+    (carrying the successful subset) if any index fails.
     """
+    _check_terms(terms)
     lg = build_lg_table(params)
     results: List[ZeroApprox] = []
     failures = []

@@ -1,7 +1,7 @@
 """Phase-expansion coefficient machinery.
 
 Builds, per problem instance, the trig-polynomial coefficients E_s(phi)
-(closed forms for s = 1, 2, a differentiate/multiply/integrate recursion
+(a closed form for s = 1, a differentiate/multiply/integrate recursion
 beyond that, driven by the generator series G(phi)) and the
 alpha-dependent odd constants d_s that regularize the odd-index
 coefficients at the turning point.
@@ -57,34 +57,19 @@ def _closed_form_E1(params: ProblemParams) -> PhiSeries:
     return part1 + part2
 
 
-def _closed_form_E2(params: ProblemParams) -> PhiSeries:
-    al = params.alpha
-    s, c, one = PhiSeries.sin(), PhiSeries.cos(), PhiSeries.one()
-    s2, c2 = s * s, c * c
-    part1 = (c * s2 * s * (one.scale(3.0) - c2.scale(5.0))).scale(
-        al / (16.0 * (1.0 + al) ** 1.5))
-    poly = (c2 * c2).scale(5.0 * (4.0 - al * al + 4.0 * al)) \
-        + c2.scale(7.0 * al * al - 16.0 * al - 16.0) \
-        + one.scale(-2.0 * al * al)
-    part2 = (s2 * poly).scale(1.0 / (64.0 * (1.0 + al) ** 2))
-    return part1 + part2
-
-
 def coeff_E(params: ProblemParams, s_max: int) -> List[PhiSeries]:
     """Coefficients E_1..E_{s_max}, 1-indexed (index 0 unused).
 
-    E_1 and E_2 come from their closed forms; higher indices from the
-    recursion E_{s+1} = G E_s' + int_0^phi G sum_j E_j' E_{s-j}' (s >= 2),
-    whose lower limit makes every E_s vanish at phi = 0.
+    E_1 comes from its closed form; higher indices from the recursion
+    E_{s+1} = G E_s' + int_0^phi G sum_j E_j' E_{s-j}' (s >= 1, the sum
+    empty for s = 1), whose lower limit makes every E_s vanish at phi = 0.
     """
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
     G = coeff_G(params)
     E: List[PhiSeries] = [PhiSeries.zero(), _closed_form_E1(params)]
-    if s_max >= 2:
-        E.append(_closed_form_E2(params))
-    dE = [PhiSeries.zero()] + [e.differentiate() for e in E[1:]]
-    for s in range(2, s_max):
+    dE = [PhiSeries.zero(), E[1].differentiate()]
+    for s in range(1, s_max):
         conv = PhiSeries.zero()
         for j in range(1, s):
             conv = conv + dE[j] * dE[s - j]

@@ -130,40 +130,44 @@ def horner(coefs: list, z):
     return p, q
 
 
-def _aberth_double(n: int, a: float, coeffs: PolyCoeffs,
-                   roots: List[complex]) -> None:
-    """In-place double-precision Aberth stage.
+def _aberth(est: list, p_and_dp, tol, max_iters: int) -> None:
+    """In-place simultaneous Aberth iteration on the estimates ``est``.
 
-    Monomial-basis evaluation noise limits the achievable accuracy here
-    (for n around 50 the positions can still be off by O(10)); the job of
-    this stage is only to spread the estimates into distinct basins.
+    ``p_and_dp(z)`` returns (p(z), p'(z)) in the arithmetic of ``est``;
+    the repulsion sum is well-conditioned, so it is always formed in
+    double precision, from ``dbl``, the estimates rounded to doubles.
     """
-    for _ in range(ORACLE_MAX_ITERS):
+    n = len(est)
+    dbl = [complex(z) for z in est]
+    for _ in range(max_iters):
         worst = 0.0
         for i in range(n):
-            zi = roots[i]
-            p, q, _ = theta_with_derivative(n, a, zi, coeffs)
+            zi = est[i]
+            p, q = p_and_dp(zi)
             if p == 0:
                 continue
             if q == 0:
-                roots[i] = zi + 1e-8 * (1 + abs(zi))
+                est[i] = zi + 1e-8 * (1 + abs(zi))
+                dbl[i] = complex(est[i])
                 worst = 1.0
                 continue
             newton = p / q
+            zid = dbl[i]
             s = 0j
             for j in range(n):
                 if j != i:
-                    d = zi - roots[j]
+                    d = zid - dbl[j]
                     if d == 0:
-                        d = 1e-14 * (1 + abs(zi))
+                        d = 1e-14 * (1 + abs(zid))
                     s += 1.0 / d
-            denom = 1.0 - newton * s
+            denom = 1 - newton * s
             step = newton / denom if denom != 0 else newton
-            roots[i] = zi - step
-            rel = abs(step) / (1.0 + abs(zi))
+            est[i] = zi - step
+            dbl[i] = complex(est[i])
+            rel = abs(step) / (1 + abs(zi))
             if rel > worst:
                 worst = rel
-        if worst <= ORACLE_TOL:
+        if worst <= tol:
             break
 
 
@@ -182,7 +186,11 @@ def oracle_zeros(n: int, a: float) -> List[complex]:
     roots = [center + radius * cmath.exp(2j * math.pi * (k + 0.25) / n
                                          + 0.3j / n)
              for k in range(n)]
-    _aberth_double(n, a, coeffs, roots)
+    # monomial-basis noise limits this stage (for n around 50 the positions
+    # can still be off by O(10)); its job is only to spread the estimates
+    # into distinct basins
+    _aberth(roots, lambda z: theta_with_derivative(n, a, z, coeffs)[:2],
+            ORACLE_TOL, ORACLE_MAX_ITERS)
 
     import mpmath as mp
 
@@ -191,36 +199,8 @@ def oracle_zeros(n: int, a: float) -> List[complex]:
     with mp.workdps(dps):
         coefs = typed_coeffs(n, mp.mpf(a))
         est = [mp.mpc(r) for r in roots]
-        tol = mp.mpf(10) ** (-(dps - 10))
-        for _ in range(ORACLE_MP_MAX_ITERS):
-            worst = mp.mpf(0)
-            for i in range(n):
-                zi = est[i]
-                p, q = horner(coefs, zi)
-                if p == 0:
-                    continue
-                if q == 0:
-                    est[i] = zi + mp.mpf("1e-8") * (1 + abs(zi))
-                    worst = mp.mpf(1)
-                    continue
-                newton = p / q
-                # the repulsion sum is well-conditioned; double suffices
-                zid = complex(zi)
-                s = 0j
-                for j in range(n):
-                    if j != i:
-                        d = zid - complex(est[j])
-                        if d == 0:
-                            d = 1e-14 * (1 + abs(zid))
-                        s += 1.0 / d
-                denom = 1 - newton * mp.mpc(s)
-                step = newton / denom if denom != 0 else newton
-                est[i] = zi - step
-                rel = abs(step) / (1 + abs(zi))
-                if rel > worst:
-                    worst = rel
-            if worst <= tol:
-                break
+        _aberth(est, lambda z: horner(coefs, z), mp.mpf(10) ** (-(dps - 10)),
+                ORACLE_MP_MAX_ITERS)
         for i in range(n):
             z = est[i]
             roots[i] = complex(z)

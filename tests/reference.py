@@ -1,9 +1,10 @@
 """Independent references that only the tests use.
 
 None of these is on a production path: a second evaluation route for the
-polynomial, the normalized ODE solution built from it, the exact a_s
-sequence the phase tails fold in, and the extended-precision remainder of
-the d-constant expansion.
+polynomial, the normalized ODE solution built from it, the closed form
+of the second phase coefficient E_2, the exact a_s sequence the phase
+tails fold in, and the extended-precision remainder of the d-constant
+expansion.
 """
 
 import cmath
@@ -14,6 +15,7 @@ from fractions import Fraction
 from rgbpzeros.errors import ZeroArgument
 from rgbpzeros.lg_coeffs import const_d
 from rgbpzeros.polynomials import theta_with_derivative
+from rgbpzeros.trig_series import PhiSeries
 
 
 def theta_laguerre(n, a, z):
@@ -58,6 +60,20 @@ def w0_derivable(n, a, z):
     w = pref * p
     dw = pref * (q + p * ((1.0 - n - 0.5 * a) / z - 1.0))
     return w, dw
+
+
+def closed_form_E2(params):
+    """E_2(phi) in closed form; the recursion builds it as G E_1'."""
+    al = params.alpha
+    s, c, one = PhiSeries.sin(), PhiSeries.cos(), PhiSeries.one()
+    s2, c2 = s * s, c * c
+    part1 = (c * s2 * s * (one.scale(3.0) - c2.scale(5.0))).scale(
+        al / (16.0 * (1.0 + al) ** 1.5))
+    poly = (c2 * c2).scale(5.0 * (4.0 - al * al + 4.0 * al)) \
+        + c2.scale(7.0 * al * al - 16.0 * al - 16.0) \
+        + one.scale(-2.0 * al * al)
+    part2 = (s2 * poly).scale(1.0 / (64.0 * (1.0 + al) ** 2))
+    return part1 + part2
 
 
 @functools.lru_cache(maxsize=None)

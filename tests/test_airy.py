@@ -1,8 +1,11 @@
+import random
+
+import mpmath as mp
 import pytest
 from scipy import special
 
 from rgbpzeros import NonpositiveIndex
-from rgbpzeros.airy import airy_zero, airy_zero_seed
+from rgbpzeros.airy import airy_zero
 
 
 def test_first_two_zeros():
@@ -10,14 +13,18 @@ def test_first_two_zeros():
     assert airy_zero(2) == pytest.approx(-4.087949444130971, abs=1e-13)
 
 
+def test_nearest_double():
+    # the table (m <= 16), the series (m >= 17) and the seam between them
+    sampled = random.Random(9).sample(range(41, 10001), 30)
+    with mp.workdps(40):
+        for m in list(range(1, 41)) + sampled:
+            assert airy_zero(m) == float(mp.airyaizero(m)), m
+
+
 def test_residual_small():
     for m in range(1, 30):
         ai = special.airy(airy_zero(m))[0]
         assert abs(ai) <= 1e-13
-
-
-def test_seed_close_for_m10():
-    assert abs(airy_zero(10) - airy_zero_seed(10)) <= 1e-6
 
 
 def test_monotone_and_negative():
@@ -27,12 +34,6 @@ def test_monotone_and_negative():
         assert z < 0
         assert z < prev
         prev = z
-
-
-def test_seed_improves_with_m():
-    d5 = abs(airy_zero(5) - airy_zero_seed(5))
-    d50 = abs(airy_zero(50) - airy_zero_seed(50))
-    assert d50 < d5
 
 
 def test_invalid_index():

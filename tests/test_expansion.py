@@ -78,6 +78,13 @@ def test_terms_bounds():
         approx_zero(p, lg, 1, terms=6)
 
 
+@pytest.mark.parametrize("terms", [0, 6, 9])
+def test_approx_all_rejects_bad_terms(terms):
+    # one usage error up front, not one ApproximationFailures entry per index
+    with pytest.raises(ValueError, match="terms must be in 1..5"):
+        approx_all(make_params(30, 1.2), terms=terms)
+
+
 def test_approx_all_counts_and_ordering():
     for n in (30, 31):
         p = make_params(n, 2.3)

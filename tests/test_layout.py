@@ -3,6 +3,8 @@ and what the package exports."""
 
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -75,3 +77,14 @@ def test_no_unused_imports():
                 if isinstance(node, ast.Name)}
         found += [f"{path.name}: {name}" for name in sorted(imported - used)]
     assert not found, found
+
+
+def test_cli_import_is_light():
+    # mpmath is imported where a computation needs it; scipy never
+    code = ("import sys, rgbpzeros.cli; "
+            "print(sorted({'scipy', 'mpmath'} & set(sys.modules)))")
+    src = Path(rgbpzeros.__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]", out.stdout

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from rgbpzeros import build_lg_table, make_params
 from rgbpzeros.lg_coeffs import coeff_E, coeff_G, const_d
 
-from reference import const_a, d_expansion_error
+from reference import closed_form_E2, const_a, d_expansion_error
 
 
 def params_for_alpha(alpha):
@@ -77,6 +77,18 @@ def test_E_parity():
                 assert (m, n) == (0, 0) or (m + n) % 2 == 1
             else:
                 assert (m + n) % 2 == 0
+
+
+def test_E2_matches_closed_form():
+    # the recursion's first step, E_2 = G E_1', against the closed form,
+    # term by term (point values of E_2 cancel down to a tenth of its
+    # largest coefficient)
+    for alpha in (-0.85, -0.3, 0.0, 0.45, 1.0, 2.5, 9.0):
+        p = params_for_alpha(alpha)
+        ref = closed_form_E2(p)
+        diff = coeff_E(p, 2)[2] - ref
+        scale = max(abs(c) for c in ref.terms.values())
+        assert all(abs(c) <= 1e-15 * scale for c in diff.terms.values())
 
 
 def quadrature_E_next(params, E, dE, s, phi):
