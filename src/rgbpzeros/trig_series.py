@@ -8,14 +8,21 @@ coefficient recursion in :mod:`rgbpzeros.lg_coeffs` needs.
 
 phi powers appear because mixed-parity integrands generate secular terms;
 they are first-class citizens here.
+
+``evaluate_jet`` is the expansion's per-zero kernel: it groups the terms by
+(phi power, cos power) and runs Horner in sin(phi) within each group, so
+every E_s costs one jet product per sin degree rather than one per factor
+of every monomial.
 """
 
 from __future__ import annotations
 
 import cmath
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 Term = Tuple[int, int, int]  # (phi power, sin power, cos power)
+# (phi power, cos power, dense sin coefficients from the highest power down)
+HornerGroup = Tuple[int, int, Tuple[complex, ...]]
 
 
 def _canon(raw: Dict[Term, complex]) -> Dict[Term, complex]:
@@ -37,10 +44,11 @@ def _canon(raw: Dict[Term, complex]) -> Dict[Term, complex]:
 class PhiSeries:
     """Immutable element of the trig-polynomial algebra."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_groups")
 
     def __init__(self, terms: Dict[Term, complex] | None = None):
         object.__setattr__(self, "terms", _canon(dict(terms or {})))
+        object.__setattr__(self, "_groups", None)
 
     def __setattr__(self, *args):
         raise AttributeError("PhiSeries is immutable")
@@ -131,22 +139,42 @@ class PhiSeries:
             total += coeff * phi**k * s**m * c**n
         return total
 
+    def _horner_groups(self) -> List[HornerGroup]:
+        """The terms as polynomials in sin, one per (phi power, cos power).
+
+        Compiled on first use and kept, so a series evaluated at many
+        points pays for it once.
+        """
+        if self._groups is None:
+            by_key: Dict[Tuple[int, int], Dict[int, complex]] = {}
+            for (k, m, n), c in self.terms.items():
+                by_key.setdefault((k, n), {})[m] = c
+            groups = [(k, n, tuple(coeffs.get(m, 0.0)
+                                   for m in range(max(coeffs), -1, -1)))
+                      for (k, n), coeffs in sorted(by_key.items())]
+            object.__setattr__(self, "_groups", groups)
+        return self._groups
+
     def evaluate_jet(self, phi_jet, sin_jet, cos_jet, jet_ops):
         """Evaluate on truncated Taylor series (jets of some variable).
 
         ``jet_ops`` supplies const/mul/add closed over the jet order; the
-        jets for phi, sin(phi) and cos(phi) must share a common base point.
+        jets for phi, sin(phi) and cos(phi) must share a common base point,
+        and are read only to that order, so the result of a longer jet is
+        its truncation.  Each group of :meth:`_horner_groups` is evaluated by Horner in the
+        sin jet, then multiplied by its cos and phi powers.
         """
         total = jet_ops.const(0.0)
-        for (k, m, n), coeff in self.terms.items():
-            term = jet_ops.const(coeff)
-            for _ in range(k):
-                term = jet_ops.mul(term, phi_jet)
-            for _ in range(m):
-                term = jet_ops.mul(term, sin_jet)
+        for k, n, coeffs in self._horner_groups():
+            acc = jet_ops.const(coeffs[0])
+            for c in coeffs[1:]:
+                acc = jet_ops.mul(acc, sin_jet)
+                acc[0] += c
             for _ in range(n):
-                term = jet_ops.mul(term, cos_jet)
-            total = jet_ops.add(total, term)
+                acc = jet_ops.mul(acc, cos_jet)
+            for _ in range(k):
+                acc = jet_ops.mul(acc, phi_jet)
+            total = jet_ops.add(total, acc)
         return total
 
 

@@ -2,9 +2,9 @@
 
 None of these is on a production path: a second evaluation route for the
 polynomial, the normalized ODE solution built from it, the closed form
-of the second phase coefficient E_2, the exact a_s sequence the phase
-tails fold in, and the extended-precision remainder of the d-constant
-expansion.
+of the second phase coefficient E_2, a term-by-term evaluation of a
+phi-series on jets, the exact a_s sequence the phase tails fold in, and
+the extended-precision remainder of the d-constant expansion.
 """
 
 import cmath
@@ -74,6 +74,23 @@ def closed_form_E2(params):
         + one.scale(-2.0 * al * al)
     part2 = (s2 * poly).scale(1.0 / (64.0 * (1.0 + al) ** 2))
     return part1 + part2
+
+
+def monomial_jets(series, phi_jet, sin_jet, cos_jet, jet_ops):
+    """The jet of each monomial of ``series``, raised from its constant by
+    one jet product per factor of phi, sin and cos; their sum is what
+    ``PhiSeries.evaluate_jet`` computes by Horner in sin."""
+    out = []
+    for (k, m, n), coeff in series.terms.items():
+        term = jet_ops.const(coeff)
+        for _ in range(k):
+            term = jet_ops.mul(term, phi_jet)
+        for _ in range(m):
+            term = jet_ops.mul(term, sin_jet)
+        for _ in range(n):
+            term = jet_ops.mul(term, cos_jet)
+        out.append(term)
+    return out
 
 
 @functools.lru_cache(maxsize=None)

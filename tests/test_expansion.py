@@ -121,8 +121,9 @@ def test_residual_decay_in_terms():
 
 
 def test_expansion_work_per_zero(monkeypatch):
-    # jet work of one zero: the zeta powers are built once, and the four
-    # odd E-coefficients are each evaluated once
+    # jet work of one zero: the zeta powers are built once, the odd
+    # E-coefficients are each evaluated once, by Horner in sin, and each
+    # correction jet is only as long as the cascade reads
     counts = {"mul": 0, "evaluate_jet": 0}
     mul, evaluate_jet = JetOps.mul, PhiSeries.evaluate_jet
 
@@ -136,7 +137,30 @@ def test_expansion_work_per_zero(monkeypatch):
 
     monkeypatch.setattr(JetOps, "mul", counted_mul)
     monkeypatch.setattr(PhiSeries, "evaluate_jet", counted_evaluate_jet)
-    zeros = len(approx_all(make_params(200, 20.2)))
-    assert zeros == 100
-    assert counts["mul"] <= 470 * zeros
-    assert counts["evaluate_jet"] == 4 * zeros
+
+    def per_zero(terms):
+        counts.update(mul=0, evaluate_jet=0)
+        zeros = len(approx_all(make_params(200, 20.2), terms=terms))
+        assert zeros == 100
+        return {name: count / zeros for name, count in counts.items()}
+
+    work = per_zero(5)
+    assert work["mul"] <= 150
+    assert work["evaluate_jet"] == 4
+    # three terms read U1 and U2 alone, so E_5 and E_7 are never evaluated
+    work = per_zero(3)
+    assert work["mul"] <= 40
+    assert work["evaluate_jet"] == 2
+    # one term is tau_0 alone
+    assert per_zero(1) == {"mul": 0, "evaluate_jet": 0}
+
+
+def test_tau_holds_the_terms_used():
+    p = make_params(30, 1.2)
+    lg = build_lg_table(p)
+    full = approx_zero(p, lg, 4, terms=5)
+    for terms in range(1, 6):
+        ap = approx_zero(p, lg, 4, terms=terms)
+        assert len(ap.tau) == terms
+        # a shorter expansion computes the same leading coefficients
+        assert ap.tau == full.tau[:terms]

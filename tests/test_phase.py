@@ -44,11 +44,27 @@ def test_finite_values_and_derivative_layout():
     lg = build_lg_table(p)
     st = map_point(p, -2.0 + 3.0j)
     ups = phase_corrections(lg, st)
-    # four jets [U1, U2, U3, U4] of the map's order, value at index 0
+    # four jets [U1, U2, U3, U4], value at index 0; U_s is only as long
+    # as the derivative order the tau cascade reads from it
     assert len(ups) == 4
-    assert all(len(jet) == len(st.zeta) for jet in ups)
+    assert [len(jet) for jet in ups] == [5 - s for s in (1, 2, 3, 4)]
     for jet in ups:
         assert abs(jet[0]) < 1e6
+
+
+def test_fewer_terms_truncate_the_same_jets():
+    # a jet coefficient never depends on higher ones, so building fewer
+    # and shorter corrections leaves the coefficients kept bit for bit
+    p = make_params(15, 1.01)
+    lg = build_lg_table(p)
+    rng = random.Random(5)
+    for z in left_points(p, rng, 5):
+        st = map_point(p, z)
+        full = phase_corrections(lg, st)
+        for terms in (2, 3, 4):
+            ups = phase_corrections(lg, st, terms)
+            assert ups == [jet[:terms - s] for s, jet in
+                           enumerate(full[:terms - 1], start=1)]
 
 
 def test_dU1_matches_finite_differences():

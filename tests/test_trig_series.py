@@ -4,7 +4,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rgbpzeros.jets import JetOps
 from rgbpzeros.trig_series import PhiSeries
+
+from reference import monomial_jets
 
 
 def series_strategy(max_terms=4):
@@ -112,3 +115,46 @@ def test_differentiate_matches_central_differences(p):
         fd = (p.evaluate(phi + h) - p.evaluate(phi - h)) / (2 * h)
         an = p.differentiate().evaluate(phi)
         assert abs(fd - an) <= 1e-6 * (1.0 + abs(an))
+
+
+# -- jet evaluation ----------------------------------------------------------
+
+def phi_jets(phi0, order):
+    """Jets in phi of phi, sin(phi) and cos(phi) about phi0."""
+    J = JetOps(order)
+    fact = [math.factorial(k) for k in range(order)]
+    sin_j = [cmath.sin(phi0 + k * math.pi / 2) / fact[k] for k in range(order)]
+    cos_j = [cmath.cos(phi0 + k * math.pi / 2) / fact[k] for k in range(order)]
+    return J, J.variable(phi0), sin_j, cos_j
+
+
+def assert_jet_matches_monomials(p, jet, monomials):
+    # each coefficient within 1e-12 of the sum of the monomials' sizes
+    for i, value in enumerate(jet):
+        expected = sum(mono[i] for mono in monomials)
+        size = sum(abs(mono[i]) for mono in monomials)
+        assert abs(value - expected) <= 1e-12 * size, (p, i)
+
+
+@settings(max_examples=200, deadline=None)
+@given(series_strategy(max_terms=8), st.integers(1, 5),
+       st.sampled_from(PHI_POINTS))
+def test_evaluate_jet_matches_monomial_sum(p, order, phi0):
+    # Horner in sin within each (phi power, cos power) group against the
+    # monomial-by-monomial evaluation
+    J, phi_j, sin_j, cos_j = phi_jets(phi0, order)
+    jet = p.evaluate_jet(phi_j, sin_j, cos_j, J)
+    assert len(jet) == order
+    assert_jet_matches_monomials(p, jet,
+                                 monomial_jets(p, phi_j, sin_j, cos_j, J))
+
+
+@settings(max_examples=100, deadline=None)
+@given(series_strategy(max_terms=8), st.sampled_from(PHI_POINTS))
+def test_order_one_jet_is_evaluate(p, phi0):
+    J, phi_j, sin_j, cos_j = phi_jets(phi0, 1)
+    monomials = monomial_jets(p, phi_j, sin_j, cos_j, J)
+    assert_jet_matches_monomials(p, [p.evaluate(phi0)], monomials)
+    assert_jet_matches_monomials(p, p.evaluate_jet(phi_j, sin_j, cos_j, J),
+                                 monomials)
+
