@@ -8,9 +8,15 @@ to degrees of a few thousand.
 
 The oracle deliberately avoids the asymptotic machinery: simultaneous
 Aberth iteration in scaled double precision to locate all n roots at once,
-then the same iteration with extended-precision evaluation.  Plain
-monomial-basis companion solves (e.g. numpy.roots) lose 8-9 digits on
-these coefficients and are not accurate enough to serve as a reference.
+then the same iteration with extended-precision evaluation, in which each
+root is frozen as soon as its step is below the tolerance or its value is
+rounding noise.  It returns only certified roots: each lies in a
+Weierstrass inclusion disc (Carstensen 1991) of radius <= 1e-13 |z| that
+meets no other, so the disc holds exactly one zero.  When the certificate
+fails, the precision rises by 20 digits and the iteration resumes from the
+current estimates, at most 3 times.  Plain monomial-basis companion solves
+(e.g. numpy.roots) lose 8-9 digits on these coefficients and are not
+accurate enough to serve as a reference.
 """
 
 from __future__ import annotations
@@ -24,8 +30,11 @@ from .errors import InvalidDegree, OracleNoConvergence
 
 ORACLE_TOL = 1e-13           # Aberth convergence (relative step)
 ORACLE_MAX_ITERS = 100       # double-precision stage (limited by noise floor)
-ORACLE_MP_MAX_ITERS = 80     # extended-precision stage
+ORACLE_MP_MAX_ITERS = 80     # extended-precision stage, per precision
 ORACLE_RESIDUAL_TOL = 1e-12  # relative residual contract per zero
+ORACLE_RADIUS_TOL = 1e-13    # inclusion-disc radius, relative to |z|
+ORACLE_DPS_STEP = 20         # digits added when a check fails ...
+ORACLE_ESCALATIONS = 3       # ... at most this many times
 
 
 def _check_degree(n: int) -> None:
@@ -130,18 +139,26 @@ def horner(coefs: list, z):
     return p, q
 
 
-def _aberth(est: list, p_and_dp, tol, max_iters: int) -> None:
+def _aberth(est: list, p_and_dp, tol, max_iters: int,
+            settled=None) -> None:
     """In-place simultaneous Aberth iteration on the estimates ``est``.
 
     ``p_and_dp(z)`` returns (p(z), p'(z)) in the arithmetic of ``est``;
     the repulsion sum is well-conditioned, so it is always formed in
     double precision, from ``dbl``, the estimates rounded to doubles.
+
+    Without ``settled``, every root steps in every iteration until the
+    largest relative step is <= ``tol``.  With it, a root that takes a
+    step <= ``tol``, or a step from a z where ``settled(z, p(z))`` holds,
+    is frozen: it steps no more but still repels the others, and the
+    iteration ends when no root is live.
     """
     n = len(est)
     dbl = [complex(z) for z in est]
+    live = range(n)
     for _ in range(max_iters):
-        worst = 0.0
-        for i in range(n):
+        moving = []
+        for i in live:
             zi = est[i]
             p, q = p_and_dp(zi)
             if p == 0:
@@ -149,7 +166,7 @@ def _aberth(est: list, p_and_dp, tol, max_iters: int) -> None:
             if q == 0:
                 est[i] = zi + 1e-8 * (1 + abs(zi))
                 dbl[i] = complex(est[i])
-                worst = 1.0
+                moving.append(i)
                 continue
             newton = p / q
             zid = dbl[i]
@@ -164,11 +181,76 @@ def _aberth(est: list, p_and_dp, tol, max_iters: int) -> None:
             step = newton / denom if denom != 0 else newton
             est[i] = zi - step
             dbl[i] = complex(est[i])
-            rel = abs(step) / (1 + abs(zi))
-            if rel > worst:
-                worst = rel
-        if worst <= tol:
+            if abs(step) / (1 + abs(zi)) > tol and (
+                    settled is None or not settled(zi, p)):
+                moving.append(i)
+        if not moving:
             break
+        if settled is not None:
+            live = moving
+
+
+def _certify(coefs: list, sizes: list, est: list,
+             noise) -> Tuple[List[complex], str, List[int]]:
+    """Round the estimates to doubles and check them.
+
+    Returns (roots, failure, bad): ``failure`` is "" when every root passes
+    the residual check, the distinctness guard and the inclusion
+    certificate, and otherwise names the first check that failed, with
+    ``bad`` the indices it rejected.  ``sizes`` holds the |c_k|, and
+    ``noise`` bounds the relative rounding error of one operation.
+    """
+    import mpmath as mp
+
+    n = len(est)
+    roots = [complex(z) for z in est]
+    absp, scale = [], []
+    for z in est:
+        p = coefs[0]
+        s = sizes[0]
+        az = abs(z)
+        for c, ac in zip(coefs[1:], sizes[1:]):
+            p = p * z + c
+            s = s * az + ac
+        absp.append(abs(p))
+        scale.append(s)
+    bad = [i for i in range(n)
+           if float(absp[i] / scale[i]) > ORACLE_RESIDUAL_TOL]
+    if bad:
+        return roots, (f"residual check: {len(bad)} roots above "
+                       f"{ORACLE_RESIDUAL_TOL:g}"), bad
+    # distinctness guard: two estimates collapsing onto one root would
+    # still pass the residual check individually
+    order = sorted(range(n), key=lambda i: (roots[i].real, roots[i].imag))
+    bad = [order[k] for k in range(n - 1)
+           if abs(roots[order[k + 1]] - roots[order[k]])
+           < 1e-9 * (1.0 + abs(roots[order[k]]))]
+    if bad:
+        return roots, (f"distinctness check: {len(bad)} roots within 1e-9 "
+                       f"of the next"), bad
+    # Weierstrass inclusion discs (Carstensen 1991): for monic p, the discs
+    # D(z_i, n |p(z_i)| / prod_{j != i} |z_i - z_j|) cover the zeros, and
+    # one disjoint from the others holds exactly one.  |p(z_i)| is widened
+    # by 2n * noise * s(|z_i|), a bound on its rounding error.  The product
+    # is a sum of logs in doubles: it would overflow as a product.
+    dist = [[abs(zi - zj) for zj in roots] for zi in roots]
+    radius = []
+    for i in range(n):
+        logprod = sum(math.log(dist[i][j]) for j in range(n) if j != i)
+        lognum = math.log(n) + float(mp.log(absp[i]
+                                            + 2 * n * noise * scale[i]))
+        radius.append(math.exp(min(lognum - logprod, 700.0)))
+    ratio = [r / abs(z) for r, z in zip(radius, roots)]
+    bad = {i for i in range(n) if ratio[i] > ORACLE_RADIUS_TOL}
+    overlaps = [(i, j) for i in range(n) for j in range(i + 1, n)
+                if dist[i][j] <= radius[i] + radius[j]]
+    for pair in overlaps:
+        bad.update(pair)
+    if bad:
+        return roots, (f"certificate radius: worst r/|z| = {max(ratio):.1e} "
+                       f"(limit {ORACLE_RADIUS_TOL:g}), {len(overlaps)} "
+                       f"overlapping disc pairs"), sorted(bad)
+    return roots, "", []
 
 
 def oracle_zeros(n: int, a: float) -> List[complex]:
@@ -178,7 +260,15 @@ def oracle_zeros(n: int, a: float) -> List[complex]:
     centroid -(n + a - 1)/2: a fast double-precision stage to separate the
     estimates, then the same simultaneous iteration with extended-precision
     evaluation (the monomial basis loses roughly n/3 digits near the zero
-    cluster), and a per-root residual check.
+    cluster), in which each root is frozen once its step is below the
+    tolerance or |p(z)| is at the rounding floor 8n 10^-dps s(|z|), with
+    s(|z|) = sum_k |c_k| |z|^(n-k).  The roots are returned only once they
+    are certified: relative residual <= 1e-12, pairwise distinct, and
+    Weierstrass inclusion discs of radius <= 1e-13 |z| that are pairwise
+    disjoint, so each holds exactly one zero.  When a check fails, the
+    precision rises by 20 digits and the iteration continues from the
+    current estimates, up to 3 times; then OracleNoConvergence names the
+    check.
     """
     coeffs = poly_coeffs(n, a)
     center = -(n + a - 1.0) / 2.0
@@ -194,35 +284,30 @@ def oracle_zeros(n: int, a: float) -> List[complex]:
 
     import mpmath as mp
 
-    dps = 30 + n // 2
-    bad = []
-    with mp.workdps(dps):
-        coefs = typed_coeffs(n, mp.mpf(a))
-        est = [mp.mpc(r) for r in roots]
-        _aberth(est, lambda z: horner(coefs, z), mp.mpf(10) ** (-(dps - 10)),
-                ORACLE_MP_MAX_ITERS)
-        for i in range(n):
-            z = est[i]
-            roots[i] = complex(z)
-            p = coefs[0]
-            s = abs(coefs[0])
-            az = abs(z)
-            for c in coefs[1:]:
-                p = p * z + c
-                s = s * az + abs(c)
-            if float(abs(p) / s) > ORACLE_RESIDUAL_TOL:
-                bad.append(i)
-    if not bad:
-        # distinctness guard: two estimates collapsing onto one root would
-        # still pass the residual check individually
-        srt = sorted(roots, key=lambda r: (r.real, r.imag))
-        for i in range(n - 1):
-            if abs(srt[i + 1] - srt[i]) < 1e-9 * (1.0 + abs(srt[i])):
-                bad.append(i)
-    if bad:
-        raise OracleNoConvergence(
-            f"oracle failed the residual/distinctness check for {len(bad)} "
-            f"roots (n={n}, a={a})", bad)
-    roots.sort(key=lambda r: (-r.imag, r.real))
-    return roots
+    est = roots
+    for attempt in range(ORACLE_ESCALATIONS + 1):
+        dps = 30 + n // 2 + ORACLE_DPS_STEP * attempt
+        with mp.workdps(dps):
+            coefs = typed_coeffs(n, mp.mpf(a))
+            sizes = [abs(c) for c in coefs]
+            # mpmath carries about dps + 1 digits, so 10^-dps is an upper
+            # bound on the rounding error of one operation
+            noise = mp.mpf(10) ** (-dps)
+            floor = 8 * n * noise
+            est = [mp.mpc(z) for z in est]
 
+            def at_floor(z, p):
+                r = abs(z)
+                s = sizes[0]
+                for c in sizes[1:]:
+                    s = s * r + c
+                return abs(p) <= floor * s
+
+            _aberth(est, lambda z: horner(coefs, z),
+                    mp.mpf(10) ** (-(dps - 10)), ORACLE_MP_MAX_ITERS, at_floor)
+            roots, failure, bad = _certify(coefs, sizes, est, noise)
+        if not failure:
+            roots.sort(key=lambda r: (-r.imag, r.real))
+            return roots
+    raise OracleNoConvergence(
+        f"oracle failed its {failure} (n={n}, a={a}, final dps {dps})", bad)

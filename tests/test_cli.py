@@ -111,6 +111,16 @@ def test_validate_passes_and_reports(capsys):
     assert len(doc["sweep_vs_oracle"]["per_m"]) == 15
 
 
+def test_validate_high_alpha(capsys):
+    # here roots 2.3e-10 off pass a relative residual check of 1e-12; only
+    # the inclusion certificate rejects them, which a sweep right to
+    # 1.5e-15 needs to meet the gate
+    code, out, _ = run(capsys, "validate", "--n", "53", "--a", "323.0")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["sweep_vs_oracle"]["max"] <= 1e-13
+
+
 def test_validate_gate_failure(capsys):
     code, out, _ = run(capsys, "validate", "--n", "30", "--a", "1.2",
                        "--gate", "1e-18")

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from rgbpzeros import InvalidDegree, ZeroArgument, oracle_zeros
-from rgbpzeros.polynomials import (poly_coeffs, relative_residual,
+from rgbpzeros import (InvalidDegree, OracleNoConvergence, ZeroArgument,
+                       oracle_zeros, polynomials, sweep)
+from rgbpzeros.polynomials import (horner, poly_coeffs, relative_residual,
                                    theta_with_derivative, typed_coeffs)
 
 from reference import theta_laguerre, w0_derivable
@@ -168,11 +169,75 @@ def test_oracle_conjugate_symmetry_and_real_count():
                     <= 1e-9 * (1.0 + abs(r))
 
 
+def assert_inclusion_discs(n, a, roots):
+    """Weierstrass discs about the returned doubles, formed in 40 + n
+    digits: each radius n |p(z_i) / prod_j (z_i - z_j)| is <= 1e-13 |z_i|
+    and no two discs meet, so each holds exactly one zero."""
+    import mpmath
+
+    with mpmath.workdps(40 + n):
+        coefs = typed_coeffs(n, mpmath.mpf(a))
+        zs = [mpmath.mpc(z) for z in roots]
+        radius = []
+        for i, z in enumerate(zs):
+            w = horner(coefs, z)[0]
+            for j, y in enumerate(zs):
+                if j != i:
+                    w /= z - y
+            radius.append(float(n * abs(w)))
+    for r, z in zip(radius, roots):
+        assert r <= 1e-13 * abs(z)
+    for i in range(n):
+        for j in range(i + 1, n):
+            assert abs(roots[i] - roots[j]) > radius[i] + radius[j]
+
+
 def test_oracle_residuals():
     for n, a in [(15, 1.01), (50, 30.7)]:
         coeffs = poly_coeffs(n, a)
-        for r in oracle_zeros(n, a):
+        roots = oracle_zeros(n, a)
+        for r in roots:
             assert relative_residual(coeffs, r) <= 1e-12
+        assert_inclusion_discs(n, a, roots)
+
+
+def test_oracle_high_alpha_matches_sweep():
+    # here estimates 3e-3 off pass a relative residual check of 1e-12; the
+    # inclusion certificate sends them back for more digits
+    n, a = 60, 576.75
+    roots = oracle_zeros(n, a)
+    assert_inclusion_discs(n, a, roots)
+    truth = roots[:(n + 1) // 2]
+    for z in sweep(n, a):
+        assert min(abs(z - r) / abs(r) for r in truth) <= 1e-13
+
+
+def test_under_iterated_oracle_is_rejected(monkeypatch):
+    monkeypatch.setattr(polynomials, "ORACLE_MP_MAX_ITERS", 1)
+    with pytest.raises(OracleNoConvergence,
+                       match=r"certificate radius: worst r/\|z\| = .*"
+                             r"final dps 115"):
+        oracle_zeros(50, 1.01)
+
+
+def test_oracle_failure_names_the_residual_check(monkeypatch):
+    monkeypatch.setattr(polynomials, "ORACLE_RESIDUAL_TOL", 0.0)
+    with pytest.raises(OracleNoConvergence, match="residual check"):
+        oracle_zeros(8, 2.3)
+
+
+def test_oracle_failure_names_the_distinctness_check(monkeypatch):
+    aberth = polynomials._aberth
+
+    def collapse(est, p_and_dp, tol, max_iters, settled=None):
+        aberth(est, p_and_dp, tol, max_iters, settled)
+        if settled is not None:  # the extended-precision stage
+            est[1] = est[0]
+
+    monkeypatch.setattr(polynomials, "_aberth", collapse)
+    with pytest.raises(OracleNoConvergence, match="distinctness check") as exc:
+        oracle_zeros(8, 2.3)
+    assert len(exc.value.indices) == 1
 
 
 def test_oracle_deterministic():
