@@ -6,16 +6,26 @@ equation (Newton on the shifted unknown w = tau_0 + 1/2); the next
 coefficients, up to four, follow from a closed cascade driven by the zeta
 jet that ``map_point`` returns at tau_0 and the correction jets
 [U1, ..., U4] that ``phase_corrections`` builds there, only as many and
-as long as the requested number of terms reads.
+as long as the requested number of terms reads.  ``approx_zero`` runs this
+kernel at the Airy level set of one index.
+
+tau_s depends on m only through the real zeta_m = a_m u^(-2/3), so
+``approx_all`` runs the kernel at the Chebyshev-Lobatto points of
+[zeta_M, zeta_1] instead, in nested levels of 17, 33 and 65 nodes, until
+the series of t/u has a negligible tail, and reads every row from one
+Chebyshev series per tau_s by Clenshaw's rule (the technique of Bogaert
+2014 for Gauss-Legendre nodes).  With at most 65 zeros, or where a node
+fails or the tail test fails at 65 nodes, it solves each row on its own.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .errors import ApproximationFailures, NewtonDivergence
+from .errors import ApproximationFailures, NewtonDivergence, RgbpError
 from .jets import Jet, JetOps
 from .lg_coeffs import LgTable, build_lg_table
 from .mapping import map_point, xi_closed_form, zeta_for_airy_zero
@@ -26,19 +36,20 @@ LOW_CONFIDENCE_N = 10  # the expansion is asymptotic; below this n it is a guess
 NEWTON_TOL = 1e-14
 NEWTON_MAX_ITERS = 50
 _RETRY_SEEDS = (0.0 + 0.0j, 0.1j, 0.2j)
+SERIES_DEGREES = (16, 32, 64)  # nested Chebyshev-Lobatto levels: 17, 33, 65 nodes
+SERIES_TAIL_RTOL = 1e-14       # the node samples' noise plateau is 2-4e-15
 
 
 @dataclass
 class ZeroApprox:
     """One zero from the expansion; ``tau`` holds tau_0 ..
-    tau_{terms_used - 1}, the coefficients that ``t`` sums."""
+    tau_{terms_used - 1}, the coefficients that ``t`` sums.  For a row of
+    ``approx_all``'s Chebyshev series, ``tau`` is read from that series."""
 
     m: int
     tau: List[complex]
     t: complex                    # assembled zero approximation
     terms_used: int
-    newton_residual: float
-    newton_iters: int
     low_confidence: bool = False
 
 
@@ -56,16 +67,18 @@ def _check_index(params: ProblemParams, m: int) -> None:
             f"m={m} outside 1..{params.num_upper_zeros} for n={params.n}")
 
 
-def solve_tau0(params: ProblemParams, m: int,
+def solve_tau0(params: ProblemParams, m: Optional[int],
                xi_target: Optional[complex] = None):
-    """Leading coefficient tau_0 for index m.
+    """Leading coefficient tau_0 for index m, or at ``xi_target`` alone.
 
     Returns (tau0, residual, iters).  Newton runs on w with tau_0 = -1/2 + w,
     seeded at w = 0 (retrying from small imaginary seeds on divergence).
     ``xi_target`` is the pinned xi of ``zeta_for_airy_zero(params, m)``,
-    looked up here when the caller does not pass it.
+    looked up here when the caller does not pass it; with m None it is any
+    xi = -(2i/3)|zeta|^(3/2) of a real zeta < 0, a Chebyshev node.
     """
-    _check_index(params, m)
+    if m is not None:
+        _check_index(params, m)
     if xi_target is None:
         _, xi_target = zeta_for_airy_zero(params, m)
     last_exc: Optional[Exception] = None
@@ -124,37 +137,129 @@ def _tau_cascade(zeta: Jet, ups: List[Jet]) -> List[complex]:
     return [t1, t2, t3, t4]
 
 
-def approx_zero(params: ProblemParams, lg: LgTable, m: int,
-                terms: int = 5) -> ZeroApprox:
-    """tau_0 by Newton, then tau_1..tau_{terms-1} and the assembled
-    approximation; one term needs neither the map nor the corrections."""
-    _check_terms(terms)
-    _check_index(params, m)
-    zeta0, xi0 = zeta_for_airy_zero(params, m)
-    tau0, resid, iters = solve_tau0(params, m, xi0)
+def _expand(params: ProblemParams, lg: LgTable, m: Optional[int],
+            zeta: complex, xi: complex, terms: int) -> List[complex]:
+    """tau_0 .. tau_{terms-1} on the Airy level set (zeta, xi): Newton for
+    tau_0, then the map with zeta and xi pinned, the corrections and the
+    cascade.  ``m`` is the index of that level set, or None at a series
+    node; one term needs neither the map nor the corrections."""
+    tau0, _, _ = solve_tau0(params, m, xi)
     tau = [tau0]
     if terms > 1:
-        state = map_point(params, tau0, xi_value=xi0, zeta_value=zeta0)
+        state = map_point(params, tau0, xi_value=xi, zeta_value=zeta)
         tau += _tau_cascade(state.zeta, phase_corrections(lg, state, terms))
+    return tau
+
+
+def _zero_approx(params: ProblemParams, m: int,
+                 tau: List[complex]) -> ZeroApprox:
+    """The row of index m whose zero u * sum_s tau_s / u^(2s) sums ``tau``."""
     u = params.u
-    t = u * sum(tau[s] / u ** (2 * s) for s in range(terms))
+    t = u * sum(tau[s] / u ** (2 * s) for s in range(len(tau)))
     if t.imag < 0.0:
         # upper-half convention; a below-axis value can only be the
         # approximation error of the single real zero (odd n, last m)
         t = complex(t.real, 0.0)
-    return ZeroApprox(m=m, tau=tau, t=t, terms_used=terms,
-                      newton_residual=resid, newton_iters=iters,
+    return ZeroApprox(m=m, tau=tau, t=t, terms_used=len(tau),
                       low_confidence=params.n < LOW_CONFIDENCE_N)
+
+
+def approx_zero(params: ProblemParams, lg: LgTable, m: int,
+                terms: int = 5) -> ZeroApprox:
+    """tau_0 by Newton, then tau_1..tau_{terms-1} and the assembled
+    approximation, all at the Airy level set of index m."""
+    _check_terms(terms)
+    _check_index(params, m)
+    zeta0, xi0 = zeta_for_airy_zero(params, m)
+    return _zero_approx(params, m, _expand(params, lg, m, zeta0, xi0, terms))
+
+
+def _chebyshev_coeffs(values: List[complex]) -> List[complex]:
+    """c_0 .. c_N of the interpolant sum_k c_k T_k(x) through ``values`` at
+    the Chebyshev-Lobatto points x_j = cos(pi j / N), j = 0..N (DCT-I)."""
+    N = len(values) - 1
+    cosines = [math.cos(math.pi * i / N) for i in range(2 * N)]
+    f = [0.5 * values[0], *values[1:N], 0.5 * values[N]]
+    coeffs = [2.0 / N * sum(fj * cosines[j * k % (2 * N)]
+                            for j, fj in enumerate(f))
+              for k in range(N + 1)]
+    coeffs[0] *= 0.5
+    coeffs[N] *= 0.5
+    return coeffs
+
+
+def _clenshaw(coeffs: List[complex], x: float) -> complex:
+    """sum_k coeffs[k] T_k(x) by Clenshaw's recurrence."""
+    b1 = b2 = 0j
+    x2 = 2.0 * x
+    for c in coeffs[:0:-1]:
+        b1, b2 = c + x2 * b1 - b2, b1
+    return coeffs[0] + x * b1 - b2
+
+
+def _series_rows(params: ProblemParams, lg: LgTable,
+                 terms: int) -> Optional[List[ZeroApprox]]:
+    """Every row from one Chebyshev series in zeta per tau_s, or None when
+    a node fails or the series has not converged at the last level.
+
+    tau_s depends on m only through the real zeta_m, so t/u is one
+    analytic function F(zeta) on [zeta_M, zeta_1].  It is sampled at the
+    Chebyshev-Lobatto points of nested levels (each reuses the samples of
+    the one before) until the last three coefficients of
+    F = sum_s c_s u^(-2s) fall below SERIES_TAIL_RTOL of the largest.
+    """
+    M = params.num_upper_zeros
+    hi = zeta_for_airy_zero(params, 1)[0].real
+    lo = zeta_for_airy_zero(params, M)[0].real
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    weights = [params.u ** (-2 * s) for s in range(terms)]
+    samples: List[List[complex]] = []
+    for N in SERIES_DEGREES:
+        coarse, samples = samples, []
+        for j in range(N + 1):
+            if coarse and j % 2 == 0:
+                samples.append(coarse[j // 2])
+                continue
+            zeta = mid + half * math.cos(math.pi * j / N)
+            xi = -2j * (-zeta) ** 1.5 / 3.0
+            try:
+                samples.append(_expand(params, lg, None, complex(zeta), xi,
+                                       terms))
+            except (RgbpError, ArithmeticError, ValueError):
+                return None  # the per-m loop reports the failing indices
+        coeffs = [_chebyshev_coeffs([tau[s] for tau in samples])
+                  for s in range(terms)]
+        F = [sum(w * c[k] for w, c in zip(weights, coeffs))
+             for k in range(N + 1)]
+        scale = max(abs(c) for c in F)
+        if all(abs(c) <= SERIES_TAIL_RTOL * scale for c in F[-3:]):
+            break
+    else:
+        return None
+    rows = []
+    for m in range(1, M + 1):
+        x = (zeta_for_airy_zero(params, m)[0].real - mid) / half
+        rows.append(_zero_approx(params, m, [_clenshaw(c, x) for c in coeffs]))
+    return rows
 
 
 def approx_all(params: ProblemParams, terms: int = 5) -> List[ZeroApprox]:
     """One approximation per m = 1..floor((n+1)/2).
+
+    With more than SERIES_DEGREES[-1] + 1 zeros every row is read from one
+    Chebyshev series in zeta per tau_s (at most that many expansion solves
+    per problem); where that series fails or does not converge, and at
+    fewer zeros, each row is solved on its own by ``approx_zero``.
 
     Raises ValueError for a bad ``terms``, and ApproximationFailures
     (carrying the successful subset) if any index fails.
     """
     _check_terms(terms)
     lg = build_lg_table(params)
+    if params.num_upper_zeros > SERIES_DEGREES[-1] + 1:
+        rows = _series_rows(params, lg, terms)
+        if rows is not None:
+            return rows
     results: List[ZeroApprox] = []
     failures = []
     for m in range(1, params.num_upper_zeros + 1):

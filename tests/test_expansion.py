@@ -1,7 +1,8 @@
 import pytest
 
-from rgbpzeros import (approx_all, approx_zero, build_lg_table, make_params,
-                       oracle_zeros)
+from rgbpzeros import (ApproximationFailures, NewtonDivergence, approx_all,
+                       approx_zero, build_lg_table, make_params, oracle_zeros)
+from rgbpzeros import expansion
 from rgbpzeros.expansion import solve_tau0
 from rgbpzeros.jets import JetOps
 from rgbpzeros.trig_series import PhiSeries
@@ -120,28 +121,31 @@ def test_residual_decay_in_terms():
     assert resids[4] <= 1e-4 * resids[0]
 
 
+def _count_calls(monkeypatch, counts, holder, attr):
+    original = getattr(holder, attr)
+
+    def counted(*args, **kwargs):
+        counts[attr] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(holder, attr, counted)
+
+
 def test_expansion_work_per_zero(monkeypatch):
     # jet work of one zero: the zeta powers are built once, the odd
     # E-coefficients are each evaluated once, by Horner in sin, and each
     # correction jet is only as long as the cascade reads
     counts = {"mul": 0, "evaluate_jet": 0}
-    mul, evaluate_jet = JetOps.mul, PhiSeries.evaluate_jet
-
-    def counted_mul(self, a, b):
-        counts["mul"] += 1
-        return mul(self, a, b)
-
-    def counted_evaluate_jet(self, *args):
-        counts["evaluate_jet"] += 1
-        return evaluate_jet(self, *args)
-
-    monkeypatch.setattr(JetOps, "mul", counted_mul)
-    monkeypatch.setattr(PhiSeries, "evaluate_jet", counted_evaluate_jet)
+    _count_calls(monkeypatch, counts, JetOps, "mul")
+    _count_calls(monkeypatch, counts, PhiSeries, "evaluate_jet")
+    p = make_params(200, 20.2)
+    lg = build_lg_table(p)
 
     def per_zero(terms):
         counts.update(mul=0, evaluate_jet=0)
-        zeros = len(approx_all(make_params(200, 20.2), terms=terms))
-        assert zeros == 100
+        zeros = p.num_upper_zeros
+        for m in range(1, zeros + 1):
+            approx_zero(p, lg, m, terms=terms)
         return {name: count / zeros for name, count in counts.items()}
 
     work = per_zero(5)
@@ -153,6 +157,80 @@ def test_expansion_work_per_zero(monkeypatch):
     assert work["evaluate_jet"] == 2
     # one term is tau_0 alone
     assert per_zero(1) == {"mul": 0, "evaluate_jet": 0}
+
+
+def test_expansion_work_per_problem(monkeypatch):
+    # approx_all runs the per-zero kernel at the Chebyshev nodes only:
+    # at most 65 of them, against one per zero (100 here, 400 calls)
+    counts = {"solve_tau0": 0, "evaluate_jet": 0}
+    _count_calls(monkeypatch, counts, expansion, "solve_tau0")
+    _count_calls(monkeypatch, counts, PhiSeries, "evaluate_jet")
+    assert len(approx_all(make_params(200, 20.2), terms=5)) == 100
+    assert counts["evaluate_jet"] == 4 * counts["solve_tau0"] <= 260
+
+
+def _a_from_alpha(n, alpha):
+    return 2.0 + alpha * (n + 0.5)
+
+
+def _rows_one_by_one(p, terms=5):
+    lg = build_lg_table(p)
+    return [approx_zero(p, lg, m, terms)
+            for m in range(1, p.num_upper_zeros + 1)]
+
+
+# at (3000, -0.9) m = 1 is wrong, so the series is refused there
+@pytest.mark.parametrize("n,alpha", [
+    (n, alpha) for n in (200, 1000, 3000)
+    for alpha in (-0.9, -0.88, 0.0, 2.3, 9.5) if (n, alpha) != (3000, -0.9)])
+def test_series_rows_match_rows_one_by_one(monkeypatch, n, alpha):
+    p = make_params(n, _a_from_alpha(n, alpha))
+    counts = {"solve_tau0": 0}
+    _count_calls(monkeypatch, counts, expansion, "solve_tau0")
+    rows = approx_all(p)
+    assert counts["solve_tau0"] < p.num_upper_zeros
+    monkeypatch.undo()
+    direct = _rows_one_by_one(p)
+    assert [ap.m for ap in rows] == [ap.m for ap in direct]
+    for ap, ref in zip(rows, direct):
+        assert abs(ap.t - ref.t) <= 1e-13 * abs(ref.t), ap.m
+        assert len(ap.tau) == ap.terms_used == 5
+
+
+def test_refused_series_gives_rows_one_by_one():
+    # at the lower edge m = 1 goes wrong for n >= 2000 and spoils the
+    # series; its tail test refuses it and every row is solved on its own
+    p = make_params(2000, _a_from_alpha(2000, -0.9))
+    assert ([ap.t for ap in approx_all(p)]
+            == [ap.t for ap in _rows_one_by_one(p)])
+
+
+def test_failing_node_gives_failures_one_by_one(monkeypatch):
+    solve = expansion.solve_tau0
+
+    def failing(params, m, xi_target=None):
+        if m is None or m == 7:
+            raise NewtonDivergence("forced")
+        return solve(params, m, xi_target)
+
+    monkeypatch.setattr(expansion, "solve_tau0", failing)
+    p = make_params(300, 2.3)
+    with pytest.raises(ApproximationFailures) as info:
+        approx_all(p)
+    failures, results = info.value.failures, info.value.results
+    assert [m for m, _ in failures] == [7]
+    assert isinstance(failures[0][1], NewtonDivergence)
+    monkeypatch.undo()
+    direct = _rows_one_by_one(p)
+    assert [ap.t for ap in results] == [ap.t for ap in direct if ap.m != 7]
+
+
+@pytest.mark.parametrize("n", [15, 60, 130])
+def test_few_zeros_solved_one_by_one(n):
+    # with at most 65 zeros the series would cost more solves than the rows
+    for alpha in (-0.84, 2.3):
+        p = make_params(n, _a_from_alpha(n, alpha))
+        assert approx_all(p) == _rows_one_by_one(p)
 
 
 def test_tau_holds_the_terms_used():
