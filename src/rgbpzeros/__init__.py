@@ -9,9 +9,9 @@ other name lives in its submodule.
 
 from .errors import (ApproximationFailures, InvalidDegree,
                      IterationDivergence, NewtonDivergence, NonpositiveIndex,
-                     OnBranchCut, OracleNoConvergence, ParameterOutOfRange,
-                     RgbpError, StepTooLarge, SweepStalled,
-                     TurningPointProximity, ZeroArgument, ZetaVanishes)
+                     OracleNoConvergence, ParameterOutOfRange, RgbpError,
+                     StepTooLarge, SweepStalled, TurningPointProximity,
+                     ZeroArgument, ZetaVanishes)
 from .expansion import ZeroApprox, approx_all, approx_zero
 from .lg_coeffs import build_lg_table
 from .params import ProblemParams, make_params
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "approx_all", "approx_zero", "build_lg_table", "make_params",
     "oracle_zeros", "ProblemParams", "sweep", "ZeroApprox",
-    "RgbpError", "InvalidDegree", "ParameterOutOfRange", "OnBranchCut",
+    "RgbpError", "InvalidDegree", "ParameterOutOfRange",
     "TurningPointProximity", "ZetaVanishes", "NonpositiveIndex",
     "NewtonDivergence", "ZeroArgument", "OracleNoConvergence",
     "StepTooLarge", "IterationDivergence", "SweepStalled",

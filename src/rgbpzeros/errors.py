@@ -15,10 +15,6 @@ class ParameterOutOfRange(RgbpError):
     that is not finite and positive."""
 
 
-class OnBranchCut(RgbpError):
-    """Evaluation point is too close to the branch cut of the mapping."""
-
-
 class TurningPointProximity(RgbpError):
     """Evaluation point is too close to the upper turning point."""
 

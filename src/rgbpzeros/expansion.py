@@ -1,13 +1,13 @@
 """Asymptotic approximation of individual zeros.
 
 For each index m the scaled zero has an expansion  u * sum_s tau_s / u^(2s).
-The leading coefficient tau_0 solves a branch-sensitive transcendental
-equation (Newton on the shifted unknown w = tau_0 + 1/2); the next
-coefficients, up to four, follow from a closed cascade driven by the zeta
-jet that ``map_point`` returns at tau_0 and the correction jets
-[U1, ..., U4] that ``phase_corrections`` builds there, only as many and
-as long as the requested number of terms reads.  ``approx_zero`` runs this
-kernel at the Airy level set of one index.
+The leading coefficient tau_0 solves a transcendental equation on the
+left branch of the map (Newton on the shifted unknown w = tau_0 + 1/2);
+the next coefficients, up to four, follow from a closed cascade driven by
+the zeta jet that ``map_point`` returns at tau_0 on that same branch and
+the correction jets [U1, ..., U4] that ``phase_corrections`` builds there,
+only as many and as long as the requested number of terms reads.
+``approx_zero`` runs this kernel at the Airy level set of one index.
 
 tau_s depends on m only through the real zeta_m = a_m u^(-2/3), so
 ``approx_all`` runs the kernel at the Chebyshev-Lobatto points of
@@ -20,7 +20,6 @@ fails or the tail test fails at 65 nodes, it solves each row on its own.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import List, Optional
@@ -28,7 +27,7 @@ from typing import List, Optional
 from .errors import ApproximationFailures, NewtonDivergence, RgbpError
 from .jets import Jet, JetOps
 from .lg_coeffs import LgTable, build_lg_table
-from .mapping import map_point, xi_closed_form, zeta_for_airy_zero
+from .mapping import left_Z, map_point, xi_closed_form, zeta_for_airy_zero
 from .params import ProblemParams
 from .phase import phase_corrections
 
@@ -55,10 +54,9 @@ class ZeroApprox:
 
 def _tau0_residual(params: ProblemParams, tau: complex, xi_target: complex):
     """Residual of the implicit leading-order equation and its derivative."""
-    al = params.alpha
-    Z = -cmath.sqrt((tau + 0.5 * al) ** 2 + 1.0 + al)
+    Z = left_Z(params, tau)
     # F and F' (= xi')
-    return xi_closed_form(params, tau, Z, -1) - xi_target, Z / tau
+    return xi_closed_form(params, tau, Z) - xi_target, Z / tau
 
 
 def _check_index(params: ProblemParams, m: int) -> None:
@@ -81,9 +79,10 @@ def solve_tau0(params: ProblemParams, m: Optional[int],
         _check_index(params, m)
     if xi_target is None:
         _, xi_target = zeta_for_airy_zero(params, m)
+    al = params.alpha
     last_exc: Optional[Exception] = None
     for seed in _RETRY_SEEDS:
-        w = seed
+        w, mirrored = seed, False
         try:
             for it in range(1, NEWTON_MAX_ITERS + 1):
                 tau = -0.5 + w
@@ -92,8 +91,16 @@ def solve_tau0(params: ProblemParams, m: Optional[int],
                 w -= dw
                 if abs(dw) <= NEWTON_TOL * (1.0 + abs(w)):
                     tau = -0.5 + w
-                    resid = abs(_tau0_residual(params, tau, xi_target)[0])
-                    return tau, resid, it
+                    if (tau + 0.5 * al).real <= 0.0:
+                        resid = abs(_tau0_residual(params, tau, xi_target)[0])
+                        return tau, resid, it
+                    if mirrored:
+                        break
+                    # near the lower window edge the equation also has roots
+                    # right of the segment Re(tau + alpha/2) = 0, off the
+                    # branch of the zeros; the mirror image of one in that
+                    # segment lies in the basin of the left root
+                    w, mirrored = complex(1.0 - al - w.real, w.imag), True
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             last_exc = exc
             continue
@@ -140,13 +147,14 @@ def _tau_cascade(zeta: Jet, ups: List[Jet]) -> List[complex]:
 def _expand(params: ProblemParams, lg: LgTable, m: Optional[int],
             zeta: complex, xi: complex, terms: int) -> List[complex]:
     """tau_0 .. tau_{terms-1} on the Airy level set (zeta, xi): Newton for
-    tau_0, then the map with zeta and xi pinned, the corrections and the
-    cascade.  ``m`` is the index of that level set, or None at a series
-    node; one term needs neither the map nor the corrections."""
+    tau_0, then the map on the branch Newton solved on, with zeta and xi
+    pinned, the corrections and the cascade.  ``m`` is the index of that
+    level set, or None at a series node; one term needs neither the map
+    nor the corrections."""
     tau0, _, _ = solve_tau0(params, m, xi)
     tau = [tau0]
     if terms > 1:
-        state = map_point(params, tau0, xi_value=xi, zeta_value=zeta)
+        state = map_point(params, tau0, left_Z(params, tau0), xi, zeta)
         tau += _tau_cascade(state.zeta, phase_corrections(lg, state, terms))
     return tau
 

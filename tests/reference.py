@@ -1,10 +1,11 @@
 """Independent references that only the tests use.
 
 None of these is on a production path: a second evaluation route for the
-polynomial, the normalized ODE solution built from it, the closed form
-of the second phase coefficient E_2, a term-by-term evaluation of a
-phi-series on jets, the exact a_s sequence the phase tails fold in, and
-the extended-precision remainder of the d-constant expansion.
+polynomial, the normalized ODE solution built from it, the map at points
+on either side of its branch cut, the closed form of the second phase
+coefficient E_2, a term-by-term evaluation of a phi-series on jets, the
+exact a_s sequence the phase tails fold in, and the extended-precision
+remainder of the d-constant expansion.
 """
 
 import cmath
@@ -14,6 +15,7 @@ from fractions import Fraction
 
 from rgbpzeros.errors import ZeroArgument
 from rgbpzeros.lg_coeffs import const_d
+from rgbpzeros.mapping import left_Z, map_point, xi_closed_form
 from rgbpzeros.polynomials import theta_with_derivative
 from rgbpzeros.trig_series import PhiSeries
 
@@ -60,6 +62,80 @@ def w0_derivable(n, a, z):
     w = pref * p
     dw = pref * (q + p * ((1.0 - n - 0.5 * a) / z - 1.0))
     return w, dw
+
+
+# half-width of the band around the approximate cut where no side is chosen
+CUT_TOL = 1e-8
+
+
+class CutProximity(Exception):
+    """A point lies within CUT_TOL of the approximate branch cut."""
+
+
+def branch_sign(params, z):
+    """+1 right of the cut, -1 left; raises CutProximity near the cut.
+
+    The cut joins the origin to the upper turning point; it is taken here
+    as the vertical segment Re(z + alpha/2) = 0, 0 <= Im z <= sigma, which
+    is exact for alpha = 0 only.
+    """
+    al, sg = params.alpha, params.sigma
+    x = z.real + 0.5 * al
+    y = z.imag
+    if (abs(x) <= CUT_TOL * (1.0 + sg)
+            and -CUT_TOL <= y <= sg * (1.0 + CUT_TOL)):
+        raise CutProximity(f"z={z} lies within tolerance of the branch cut")
+    if x > 0.0:
+        return 1
+    if x < 0.0:
+        return -1
+    return 1  # on the ray above the turning point both sides agree
+
+
+def big_Z(params, z):
+    """Branch-resolved square root of (z - z1)(z - z2) on the side of the
+    cut that ``branch_sign`` picks."""
+    z = complex(z)
+    if z.imag < -CUT_TOL:
+        raise ValueError("big_Z is defined on the closed upper half-plane")
+    if z == 0:
+        raise ZeroArgument("Z is undefined at the origin")
+    Z = left_Z(params, z)
+    return Z if branch_sign(params, z) < 0 else -Z
+
+
+def xi_either_side(params, z, Z, sign):
+    """Closed-form LG phase xi with principal logarithms on the side
+    ``sign`` of the cut: the direct form right of it, the package's
+    left-branch form left of it."""
+    if sign < 0:
+        return xi_closed_form(params, z, Z)
+    al = params.alpha
+    denom = 4.0 * Z + 2.0 * al * (Z + z + 2.0) + 4.0 + al * al
+    xi = (Z - (1.0 + 0.5 * al) * cmath.log(denom / z)
+          + 0.5 * al * cmath.log(2.0 * Z + 2.0 * z + al))
+    return (xi + 0.5 * cmath.log(1.0 + al) + (2.0 + 0.5 * al) * math.log(2.0)
+            - 0.5 * (1.0 + al) * math.pi * 1j)
+
+
+def zeta_from_xi(xi, sign):
+    """Airy variable with (2/3) zeta^(3/2) = xi on the side ``sign``."""
+    ln = cmath.log(1.5 * xi)
+    if sign < 0 and ln.imag < 0:
+        # left of the cut xi is in the lower half; zeta sits near the
+        # negative real axis, reached by the shifted branch of the 2/3 power
+        ln += 2j * math.pi
+    return cmath.exp((2.0 / 3.0) * ln)
+
+
+def map_anywhere(params, z):
+    """``map_point`` at any z of the upper half-plane off the cut: the side
+    from ``branch_sign``, then Z, the closed-form xi and zeta on it."""
+    z = complex(z)
+    Z = big_Z(params, z)
+    sign = branch_sign(params, z)
+    xi = xi_either_side(params, z, Z, sign)
+    return map_point(params, z, Z, xi, zeta_from_xi(xi, sign))
 
 
 def closed_form_E2(params):

@@ -5,6 +5,7 @@ from rgbpzeros import (ApproximationFailures, NewtonDivergence, approx_all,
 from rgbpzeros import expansion
 from rgbpzeros.expansion import solve_tau0
 from rgbpzeros.jets import JetOps
+from rgbpzeros.sweep import Carrier, iterate_T
 from rgbpzeros.trig_series import PhiSeries
 
 NEWTON_ANCHOR_W = complex(-0.0935299175, 0.310545771)
@@ -179,10 +180,9 @@ def _rows_one_by_one(p, terms=5):
             for m in range(1, p.num_upper_zeros + 1)]
 
 
-# at (3000, -0.9) m = 1 is wrong, so the series is refused there
 @pytest.mark.parametrize("n,alpha", [
     (n, alpha) for n in (200, 1000, 3000)
-    for alpha in (-0.9, -0.88, 0.0, 2.3, 9.5) if (n, alpha) != (3000, -0.9)])
+    for alpha in (-0.9, -0.88, 0.0, 2.3, 9.5)])
 def test_series_rows_match_rows_one_by_one(monkeypatch, n, alpha):
     p = make_params(n, _a_from_alpha(n, alpha))
     counts = {"solve_tau0": 0}
@@ -197,12 +197,77 @@ def test_series_rows_match_rows_one_by_one(monkeypatch, n, alpha):
         assert len(ap.tau) == ap.terms_used == 5
 
 
-def test_refused_series_gives_rows_one_by_one():
-    # at the lower edge m = 1 goes wrong for n >= 2000 and spoils the
-    # series; its tail test refuses it and every row is solved on its own
+def test_refused_series_gives_rows_one_by_one(monkeypatch):
+    # a series whose tail test fails at the last level is refused, and
+    # every row is solved on its own
+    monkeypatch.setattr(expansion, "SERIES_TAIL_RTOL", 0.0)
+    p = make_params(300, 2.3)
+    assert approx_all(p) == _rows_one_by_one(p)
+
+
+LOWER_EDGE = [(2000, -0.9), (4000, -0.9), (4000, -0.89), (10000, -0.88),
+              (20000, -0.88)] + [(n, alpha) for n in (10000, 20000)
+                                 for alpha in (-0.9, -0.895, -0.89)]
+
+
+def _transport(p, at, start):
+    """The zero near ``start`` of the solution that vanishes at ``at``."""
+    return iterate_T(Carrier(p.n, p.a, at, 0.0, 1.0), start)
+
+
+@pytest.mark.parametrize("n,alpha", LOWER_EDGE)
+def test_lower_edge_rows_match_transported_zeros(n, alpha):
+    # near the lower edge tau_0 has roots right of the segment
+    # Re(tau + alpha/2) = 0 too, and a row built on one is 1e-2 to 4e-2
+    # off; Newton from w = 0 reaches them for the first 1 to 8 rows here.
+    # Walk up the arc from rows 11 and 10, past those, and compare rows
+    # 1..9 with the zeros it reaches.
+    p = make_params(n, _a_from_alpha(n, alpha))
+    lg = build_lg_table(p)
+    z = [None] + [approx_zero(p, lg, m).t for m in range(1, 12)]
+    walk = {11: z[11], 10: z[10]}
+    for m in range(9, 0, -1):
+        walk[m] = _transport(p, walk[m + 1], 2 * walk[m + 1] - walk[m + 2])
+    for m in range(1, 10):
+        assert abs(z[m] - walk[m]) <= 5e-14 * abs(walk[m]), m
+    # z_1 from the solution through the expansion's z_2 agrees as well
+    z1 = _transport(p, z[2], 2 * z[2] - z[3])
+    assert abs(z[1] - z1) <= 5e-14 * abs(z1)
+
+
+def test_lower_edge_first_rows_are_polynomial_zeros():
+    # the extended-precision Newton step of theta_n at each row
+    import mpmath as mp
+
+    from rgbpzeros.polynomials import horner, typed_coeffs
+
+    n, alpha = 2000, -0.9
+    p = make_params(n, _a_from_alpha(n, alpha))
+    lg = build_lg_table(p)
+    with mp.workdps(n // 2 + 100):
+        coefs = typed_coeffs(n, mp.mpf(p.a))
+        for m in (1, 2, 3):
+            t = approx_zero(p, lg, m).t
+            value, slope = horner(coefs, mp.mpc(t))
+            assert abs(value / slope) <= 1e-13 * abs(t), m
+
+
+def test_solve_tau0_restarts_from_a_root_right_of_the_segment(monkeypatch):
     p = make_params(2000, _a_from_alpha(2000, -0.9))
-    assert ([ap.t for ap in approx_all(p)]
-            == [ap.t for ap in _rows_one_by_one(p)])
+    xs = []
+    residual = expansion._tau0_residual
+
+    def recorded(params, tau, xi_target):
+        xs.append((tau + 0.5 * params.alpha).real)
+        return residual(params, tau, xi_target)
+
+    monkeypatch.setattr(expansion, "_tau0_residual", recorded)
+    tau0, resid, iters = solve_tau0(p, 1)
+    # Newton from w = 0 first reaches a root right of the segment
+    assert max(xs) > 5e-3
+    assert (tau0 + 0.5 * p.alpha).real < -1e-2
+    assert resid <= 1e-13
+    assert iters == len(xs) - 1
 
 
 def test_failing_node_gives_failures_one_by_one(monkeypatch):

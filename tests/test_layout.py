@@ -12,7 +12,7 @@ import rgbpzeros
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "rgbpzeros"
-PUBLIC_API_MAX = 22
+PUBLIC_API_MAX = 21
 
 
 def _resolve(module, dotted):
@@ -61,7 +61,8 @@ def test_public_api_is_small():
 def test_no_unused_imports():
     # no linter runs in CI; an import no code reads is dead weight
     found = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in [*sorted(PACKAGE.glob("*.py")),
+                 *sorted((ROOT / "tests").glob("*.py"))]:
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
@@ -75,7 +76,8 @@ def test_no_unused_imports():
                 imported |= {a.asname or a.name for a in node.names}
         used = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name)}
-        found += [f"{path.name}: {name}" for name in sorted(imported - used)]
+        found += [f"{path.parent.name}/{path.name}: {name}"
+                  for name in sorted(imported - used)]
     assert not found, found
 
 

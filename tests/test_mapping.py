@@ -5,12 +5,12 @@ import random
 import pytest
 from scipy.integrate import quad
 
-from rgbpzeros import (OnBranchCut, TurningPointProximity, ZeroArgument,
-                       make_params)
-from rgbpzeros.mapping import (big_Z, map_point, zeta_for_airy_zero,
-                               zeta_from_xi)
+from rgbpzeros import TurningPointProximity, ZeroArgument, make_params
+from rgbpzeros.mapping import left_Z, map_point, zeta_for_airy_zero
 from rgbpzeros.airy import airy_zero
 from rgbpzeros.jets import JetOps
+
+from reference import CutProximity, big_Z, map_anywhere, zeta_from_xi
 
 
 def sample_left_points(params, rng, count):
@@ -55,11 +55,18 @@ def test_big_Z_asymptotically_z():
 
 def test_big_Z_branch_cut_guard():
     p = make_params(1, 2.0)  # cut: segment from 0 to i
-    with pytest.raises(OnBranchCut):
+    with pytest.raises(CutProximity):
         big_Z(p, 0.5j)
     # just beside the cut is fine
     assert big_Z(p, 0.01 + 0.5j).real > 0
     assert big_Z(p, -0.01 + 0.5j).real < 0
+
+
+def test_left_Z_is_big_Z_left_of_the_cut():
+    p = make_params(15, 1.01)
+    rng = random.Random(10)
+    for z in sample_left_points(p, rng, 50):
+        assert left_Z(p, z) == big_Z(p, z)
 
 
 def test_big_Z_zero_argument():
@@ -80,7 +87,7 @@ def test_trig_identity_at_random_points():
     p = make_params(15, 1.01)
     rng = random.Random(11)
     for z in sample_left_points(p, rng, 100):
-        st = map_point(p, z)
+        st = map_anywhere(p, z)
         s = p.sigma / st.Z
         c = (z + p.alpha / 2.0) / st.Z
         assert abs(s * s + c * c - 1.0) <= 1e-12
@@ -90,7 +97,7 @@ def test_phi_round_trip():
     p = make_params(30, 20.2)
     rng = random.Random(12)
     for z in sample_left_points(p, rng, 50):
-        st = map_point(p, z)
+        st = map_anywhere(p, z)
         phi = st.phi[0]
         back = p.sigma * cmath.cos(phi) / cmath.sin(phi) - p.alpha / 2.0
         assert abs(back - z) <= 1e-12 * (1.0 + abs(z))
@@ -100,7 +107,7 @@ def test_xi_derivative_squared_is_f():
     p = make_params(15, 1.01)
     rng = random.Random(13)
     for z in sample_left_points(p, rng, 50):
-        st = map_point(p, z)
+        st = map_anywhere(p, z)
         f = ((z + p.alpha / 2.0) ** 2 + 1.0 + p.alpha) / (z * z)
         assert abs(st.xi[1] ** 2 - f) <= 1e-12 * (1.0 + abs(f))
 
@@ -109,16 +116,17 @@ def test_zeta_derivatives_match_finite_differences():
     p = make_params(15, 1.01)
     rng = random.Random(14)
     for z in sample_left_points(p, rng, 20):
-        st = map_point(p, z)
+        st = map_anywhere(p, z)
         d1, d2, d3 = (JetOps.derivative(st.zeta, k) for k in (1, 2, 3))
         h = 1e-5
-        fd1 = (map_point(p, z + h).zeta[0]
-               - map_point(p, z - h).zeta[0]) / (2 * h)
+        fd1 = (map_anywhere(p, z + h).zeta[0]
+               - map_anywhere(p, z - h).zeta[0]) / (2 * h)
         assert abs(d1 - fd1) <= 1e-6 * (1.0 + abs(fd1))
         # wider stencils for the higher orders: the subtractive noise of a
         # 1e-5 step exceeds the target tolerance there
         h = 1e-3
-        vals = {k: map_point(p, z + k * h).zeta[0] for k in (-2, -1, 0, 1, 2)}
+        vals = {k: map_anywhere(p, z + k * h).zeta[0]
+                for k in (-2, -1, 0, 1, 2)}
         fd2 = (vals[1] - 2 * vals[0] + vals[-1]) / h ** 2
         fd3 = (vals[2] - 2 * vals[1] + 2 * vals[-1] - vals[-2]) / (2 * h ** 3)
         assert abs(d2 - fd2) <= 1e-5 * (1.0 + abs(fd2))
@@ -144,21 +152,21 @@ def test_xi_closed_form_matches_quadrature():
                  limit=300)[0],
             quad(lambda t: (dxi(anchor + t * d) * d).imag, 0.0, 1.0,
                  limit=300)[0])
-        st = map_point(p, z)
+        st = map_anywhere(p, z)
         assert abs(st.xi[0] - xi_quad) <= 1e-7 * (1.0 + abs(st.xi[0]))
 
 
 def test_turning_point_exclusion():
     p = make_params(15, 1.01)
     with pytest.raises(TurningPointProximity):
-        map_point(p, p.z1 + 1e-5)
+        map_anywhere(p, p.z1 + 1e-5)
 
 
 def test_zeta_vanishes_toward_turning_point():
     p = make_params(15, 1.01)
     scale = 1.0 + abs(p.z1)
     z = p.z1 + 1e-2 * scale * cmath.exp(1j * math.pi * 0.75)
-    st = map_point(p, z)
+    st = map_anywhere(p, z)
     assert abs(st.zeta[0]) <= 1e-1
 
 
@@ -168,7 +176,7 @@ def test_cos_phi_positive_on_negative_axis():
         z = x - p.alpha / 2.0
         if z >= 0:
             continue
-        st = map_point(p, complex(z, 0.0))
+        st = map_anywhere(p, complex(z, 0.0))
         cos_phi = (z + p.alpha / 2.0) / st.Z
         assert st.Z.real < 0
         assert cos_phi.real > 0
@@ -177,7 +185,9 @@ def test_cos_phi_positive_on_negative_axis():
 def test_map_point_zero_argument():
     p = make_params(2, 2.2)
     with pytest.raises(ZeroArgument):
-        map_point(p, 0.0)
+        map_point(p, 0.0, left_Z(p, 0j), -1j, -1.0)
+    with pytest.raises(ZeroArgument):
+        map_anywhere(p, 0.0)
 
 
 # -- Airy-zero level set -----------------------------------------------------

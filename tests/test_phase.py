@@ -9,7 +9,7 @@ from rgbpzeros.mapping import map_point
 from rgbpzeros.phase import (COUPLING_CONSTANTS, TAIL_CONSTANTS,
                              phase_corrections)
 
-from reference import const_a
+from reference import const_a, map_anywhere
 
 
 def left_points(params, rng, count):
@@ -42,7 +42,7 @@ def test_tail_constants_are_folded_a_constants():
 def test_finite_values_and_derivative_layout():
     p = make_params(15, 1.01)
     lg = build_lg_table(p)
-    st = map_point(p, -2.0 + 3.0j)
+    st = map_anywhere(p, -2.0 + 3.0j)
     ups = phase_corrections(lg, st)
     # four jets [U1, U2, U3, U4], value at index 0; U_s is only as long
     # as the derivative order the tau cascade reads from it
@@ -59,7 +59,7 @@ def test_fewer_terms_truncate_the_same_jets():
     lg = build_lg_table(p)
     rng = random.Random(5)
     for z in left_points(p, rng, 5):
-        st = map_point(p, z)
+        st = map_anywhere(p, z)
         full = phase_corrections(lg, st)
         for terms in (2, 3, 4):
             ups = phase_corrections(lg, st, terms)
@@ -73,9 +73,9 @@ def test_dU1_matches_finite_differences():
     rng = random.Random(77)
     h = 1e-5
     for z in left_points(p, rng, 20):
-        mid = phase_corrections(lg, map_point(p, z))
-        up = phase_corrections(lg, map_point(p, z + h))
-        dn = phase_corrections(lg, map_point(p, z - h))
+        mid = phase_corrections(lg, map_anywhere(p, z))
+        up = phase_corrections(lg, map_anywhere(p, z + h))
+        dn = phase_corrections(lg, map_anywhere(p, z - h))
         dU1, dU2 = (JetOps.derivative(jet, 1) for jet in mid[:2])
         fd = (up[0][0] - dn[0][0]) / (2 * h)
         assert abs(dU1 - fd) <= 1e-6 * (1.0 + abs(fd))
@@ -88,7 +88,7 @@ def test_U1_decays_on_positive_real_axis():
     lg = build_lg_table(p)
     prev = None
     for x in (5.0, 20.0, 100.0, 500.0):
-        U1 = phase_corrections(lg, map_point(p, complex(x, 0.0)))[0]
+        U1 = phase_corrections(lg, map_anywhere(p, complex(x, 0.0)))[0]
         mag = abs(U1[0])
         if prev is not None:
             assert mag < prev
@@ -99,8 +99,10 @@ def test_U1_decays_on_positive_real_axis():
 def test_zeta_vanishes_guard():
     p = make_params(15, 1.01)
     lg = build_lg_table(p)
-    # force a vanishing Airy variable through the pinning override
-    st = map_point(p, -2.0 + 3.0j, zeta_value=1e-10)
+    # force a vanishing Airy variable through the pinned zeta
+    z = -2.0 + 3.0j
+    st = map_anywhere(p, z)
+    st = map_point(p, z, st.Z, st.xi[0], 1e-10)
     with pytest.raises(ZetaVanishes):
         phase_corrections(lg, st)
 
@@ -111,6 +113,6 @@ def test_bounded_near_turning_point():
     lg = build_lg_table(p)
     scale = 1.0 + abs(p.z1)
     z = p.z1 + 1e-2 * scale * (-1.0 + 0.5j) / abs(-1.0 + 0.5j)
-    st = map_point(p, z)
+    st = map_anywhere(p, z)
     for jet in phase_corrections(lg, st):
         assert abs(jet[0]) < 1e8

@@ -206,6 +206,7 @@ LOWER_EDGE_STALL = pytest.mark.xfail(
     pytest.param(100, -0.88, marks=LOWER_EDGE_STALL),
     pytest.param(400, -0.86, marks=LOWER_EDGE_STALL),
     pytest.param(1000, -0.86, marks=LOWER_EDGE_STALL),
+    pytest.param(10000, -0.89, marks=LOWER_EDGE_STALL),
     (100, -0.86), (400, -0.84), (1000, -0.835),
 ])
 def test_sweep_lower_edge(n, alpha):
