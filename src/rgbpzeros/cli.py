@@ -4,6 +4,14 @@ Commands:
   zeros     upper-half zeros by sweep or asymptotic expansion (csv/json)
   validate  compare both methods against the brute-force oracle (json)
 
+Each row of ``zeros`` carries ``err_est``, a relative error estimate that
+costs O(1) per row.  An asymptotic row reports the expansion's own
+estimate (``ZeroApprox.err_est``: its last term, or its largest where the
+terms grow).  A sweep row m reports |z - t_m| / |t_m| + err_est(t_m)
+against the 5-term expansion t_m, which bounds the sweep's error whenever
+the expansion's estimate bounds the expansion's; NaN (``nan`` in CSV,
+``null`` in JSON) where the expansion has no row.
+
 Exit codes: 0 success, 1 computation failure, 2 partial result,
 64 usage error.  Output is deterministic for a fixed configuration.
 """
@@ -12,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import sys
 from dataclasses import dataclass
@@ -22,7 +31,7 @@ from .errors import (ApproximationFailures, InvalidDegree,
 from .expansion import approx_all
 from .params import (DEFAULT_DELTA1, DEFAULT_DELTA2, ProblemParams,
                      make_params)
-from .polynomials import poly_coeffs, oracle_zeros, relative_residual
+from .polynomials import oracle_zeros
 from .sweep import (POLISH_BELOW_N, SEED_TERMS_LARGE, SEED_TERMS_SMALL,
                     sweep)
 
@@ -38,7 +47,7 @@ VALIDATE_MAX_N = 200
 class ZeroRow:
     m: int
     z: complex
-    residual: float
+    err_est: float
     method: str
     terms: int
 
@@ -90,9 +99,9 @@ def _rows_to_csv(rows: List[ZeroRow], partial: bool) -> str:
     lines = ["# conjugates_implied=true"]
     if partial:
         lines.append("# partial=true")
-    lines.append("m,re,im,residual,method,terms")
+    lines.append("m,re,im,err_est,method,terms")
     for r in rows:
-        lines.append(f"{r.m},{r.z.real!r},{r.z.imag!r},{r.residual!r},"
+        lines.append(f"{r.m},{r.z.real!r},{r.z.imag!r},{r.err_est!r},"
                      f"{r.method},{r.terms}")
     return "\n".join(lines) + "\n"
 
@@ -107,7 +116,8 @@ def _rows_to_json(args: argparse.Namespace, params: ProblemParams,
         "conjugates_implied": True,
         "partial": partial,
         "zeros": [{"m": r.m, "re": r.z.real, "im": r.z.imag,
-                   "residual": r.residual, "method": r.method,
+                   "err_est": None if math.isnan(r.err_est) else r.err_est,
+                   "method": r.method,
                    "terms": r.terms} for r in rows],
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -115,7 +125,6 @@ def _rows_to_json(args: argparse.Namespace, params: ProblemParams,
 
 def _compute_rows(args: argparse.Namespace, params: ProblemParams):
     """(rows, partial_flag) for the configured method."""
-    coeffs = poly_coeffs(args.n, args.a)
     partial = False
     if args.method == "sweep":
         try:
@@ -123,19 +132,27 @@ def _compute_rows(args: argparse.Namespace, params: ProblemParams):
         except SweepStalled as exc:
             zs = exc.partial
             partial = True
+        # the expansion only checks the sweep here: rows it could not
+        # give get no estimate, and never a failure
+        try:
+            approxes = approx_all(params, terms=5)
+        except ApproximationFailures as exc:
+            approxes = exc.results
+        by_m = {ap.m: ap for ap in approxes}
         # expansion terms of the first-zero seed, informational
         terms = (SEED_TERMS_SMALL if args.n < POLISH_BELOW_N
                  else SEED_TERMS_LARGE)
-        rows = [ZeroRow(m=i + 1, z=z,
-                        residual=relative_residual(coeffs, z),
-                        method="sweep", terms=terms)
-                for i, z in enumerate(zs)]
+        rows = []
+        for m, z in enumerate(zs, start=1):
+            ap = by_m.get(m)
+            err = (math.nan if ap is None
+                   else abs(z - ap.t) / abs(ap.t) + ap.err_est)
+            rows.append(ZeroRow(m=m, z=z, err_est=err, method="sweep",
+                                terms=terms))
     else:
-        approxes = approx_all(params, terms=args.terms)
-        rows = [ZeroRow(m=ap.m, z=ap.t,
-                        residual=relative_residual(coeffs, ap.t),
+        rows = [ZeroRow(m=ap.m, z=ap.t, err_est=ap.err_est,
                         method="asymptotic", terms=ap.terms_used)
-                for ap in approxes]
+                for ap in approx_all(params, terms=args.terms)]
     return rows, partial
 
 

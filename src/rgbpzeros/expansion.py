@@ -16,6 +16,7 @@ the series of t/u has a negligible tail, and reads every row from one
 Chebyshev series per tau_s by Clenshaw's rule (the technique of Bogaert
 2014 for Gauss-Legendre nodes).  With at most 65 zeros, or where a node
 fails or the tail test fails at 65 nodes, it solves each row on its own.
+Every row carries an error estimate from the sizes of its terms.
 """
 
 from __future__ import annotations
@@ -37,19 +38,23 @@ NEWTON_MAX_ITERS = 50
 _RETRY_SEEDS = (0.0 + 0.0j, 0.1j, 0.2j)
 SERIES_DEGREES = (16, 32, 64)  # nested Chebyshev-Lobatto levels: 17, 33, 65 nodes
 SERIES_TAIL_RTOL = 1e-14       # the node samples' noise plateau is 2-4e-15
+ERR_EST_FLOOR = 1e-13          # see _err_est
 
 
 @dataclass
 class ZeroApprox:
     """One zero from the expansion; ``tau`` holds tau_0 ..
     tau_{terms_used - 1}, the coefficients that ``t`` sums.  For a row of
-    ``approx_all``'s Chebyshev series, ``tau`` is read from that series."""
+    ``approx_all``'s Chebyshev series, ``tau`` is read from that series.
+    ``err_est`` estimates the relative error of ``t`` from the sizes of its
+    terms (``_err_est``); it is NaN with one term."""
 
     m: int
     tau: List[complex]
     t: complex                    # assembled zero approximation
     terms_used: int
     low_confidence: bool = False
+    err_est: float = math.nan
 
 
 def _tau0_residual(params: ProblemParams, tau: complex, xi_target: complex):
@@ -159,17 +164,40 @@ def _expand(params: ProblemParams, lg: LgTable, m: Optional[int],
     return tau
 
 
+def _err_est(sizes: List[float]) -> float:
+    """Relative error estimate from the sizes e_s = |tau_s| u^(1-2s) / |t|
+    of the terms s = 1 .. terms-1 (NaN with no such term).
+
+    While the terms above ERR_EST_FLOOR decrease, the last one bounds the
+    truncation error; where one grows, the largest does.  Below the floor
+    the terms are rounding noise (tau_3 and tau_4 carry a few correct
+    digits at large n), which must not read as growth.  The floor is the
+    least error a row can claim: it sits above the measured disagreement of
+    the two answer paths (at most 1.8e-14 relative on n from 100 to 3000,
+    alpha from -0.9 to 9.9) and of the series rows with the rows solved one
+    by one (at most 5.2e-14, at the lower edge).
+    """
+    if not sizes:
+        return math.nan
+    decreasing = all(b <= max(a, ERR_EST_FLOOR)
+                     for a, b in zip(sizes, sizes[1:]))
+    return max(sizes[-1] if decreasing else max(sizes), ERR_EST_FLOOR)
+
+
 def _zero_approx(params: ProblemParams, m: int,
                  tau: List[complex]) -> ZeroApprox:
     """The row of index m whose zero u * sum_s tau_s / u^(2s) sums ``tau``."""
     u = params.u
-    t = u * sum(tau[s] / u ** (2 * s) for s in range(len(tau)))
+    terms = [tau[s] / u ** (2 * s) for s in range(len(tau))]
+    t = u * sum(terms)
     if t.imag < 0.0:
         # upper-half convention; a below-axis value can only be the
         # approximation error of the single real zero (odd n, last m)
         t = complex(t.real, 0.0)
+    scale = abs(t) / u
     return ZeroApprox(m=m, tau=tau, t=t, terms_used=len(tau),
-                      low_confidence=params.n < LOW_CONFIDENCE_N)
+                      low_confidence=params.n < LOW_CONFIDENCE_N,
+                      err_est=_err_est([abs(c) / scale for c in terms[1:]]))
 
 
 def approx_zero(params: ProblemParams, lg: LgTable, m: int,
@@ -244,6 +272,13 @@ def _series_rows(params: ProblemParams, lg: LgTable,
             break
     else:
         return None
+    # a trailing coefficient below the rounding of F's largest one reads
+    # as noise (rows moved by at most 6.4e-16 relative); from n = 200 the
+    # series of tau_3 and tau_4 keep their first coefficient alone
+    cut = 2.0 ** -53 * scale
+    for w, c in zip(weights, coeffs):
+        while len(c) > 1 and w * abs(c[-1]) <= cut:
+            c.pop()
     rows = []
     for m in range(1, M + 1):
         x = (zeta_for_airy_zero(params, m)[0].real - mid) / half

@@ -4,8 +4,9 @@ None of these is on a production path: a second evaluation route for the
 polynomial, the normalized ODE solution built from it, the map at points
 on either side of its branch cut, the closed form of the second phase
 coefficient E_2, a term-by-term evaluation of a phi-series on jets, the
-exact a_s sequence the phase tails fold in, and the extended-precision
-remainder of the d-constant expansion.
+exact a_s sequence the phase tails fold in, the extended-precision
+remainder of the d-constant expansion, and the oracle's upper-half zeros
+on the grids where the rows' error estimates are checked.
 """
 
 import cmath
@@ -16,7 +17,7 @@ from fractions import Fraction
 from rgbpzeros.errors import ZeroArgument
 from rgbpzeros.lg_coeffs import const_d
 from rgbpzeros.mapping import left_Z, map_point, xi_closed_form
-from rgbpzeros.polynomials import theta_with_derivative
+from rgbpzeros.polynomials import oracle_zeros, theta_with_derivative
 from rgbpzeros.trig_series import PhiSeries
 
 
@@ -209,3 +210,31 @@ def d_expansion_error(alpha, u, s_terms=4, dps=60):
                           / ua ** (2 * s + 1)
                           for s in range(s_terms))
         return float(abs(lhs - partial))
+
+
+def _in_window(n, a):
+    return -0.9 * n + 1.5 <= a <= 10.0 * n
+
+
+# criterion 4's grid, and a grid in alpha = (a - 2)/(n + 1/2) down to the
+# lower edge of the window, where the expansion is least accurate and the
+# sweep stalls
+ERR_EST_GRID = sorted(
+    {(n, a) for n in (2, 5, 8, 15, 30, 50)
+     for a in (1.01, 1.2, 2.3, 20.2, 30.7, -0.4 * n + 1.5) if _in_window(n, a)}
+    | {(n, 2.0 + alpha * (n + 0.5)) for n in (8, 11, 16, 23, 31, 45, 60)
+       for alpha in (-0.9, -0.88, -0.84, -0.6, -0.3, 0.0, 1.0, 3.0, 6.0, 9.9)
+       if _in_window(n, 2.0 + alpha * (n + 0.5))})
+
+
+@functools.lru_cache(maxsize=None)
+def upper_oracle_zeros(n, a):
+    """The oracle's zeros in the closed upper half-plane, computed once per
+    test session."""
+    return tuple(z for z in oracle_zeros(n, a) if z.imag >= -1e-12)
+
+
+def oracle_error(n, a, z):
+    """Relative distance from z to the nearest upper-half oracle zero."""
+    r = min(upper_oracle_zeros(n, a), key=lambda r: abs(r - z))
+    return abs(z - r) / abs(r)

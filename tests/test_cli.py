@@ -1,8 +1,12 @@
 import json
+import math
+import sys
 
 import pytest
 
-from rgbpzeros import cli
+from rgbpzeros import ApproximationFailures, cli
+
+from reference import ERR_EST_GRID, oracle_error
 
 
 def run(capsys, *argv):
@@ -23,7 +27,7 @@ def test_zeros_sweep_csv(capsys):
     assert code == 0
     comments, header, rows = parse_csv(out)
     assert "# conjugates_implied=true" in comments
-    assert header == "m,re,im,residual,method,terms"
+    assert header == "m,re,im,err_est,method,terms"
     assert len(rows) == 15
     ims = [float(r.split(",")[2]) for r in rows]
     assert all(x > y for x, y in zip(ims, ims[1:]))
@@ -141,7 +145,7 @@ def test_output_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     _, header, rows = parse_csv(path.read_text())
-    assert header == "m,re,im,residual,method,terms"
+    assert header == "m,re,im,err_est,method,terms"
     assert len(rows) == 3
 
 
@@ -151,3 +155,86 @@ def test_deterministic_output(capsys):
     _, out2, _ = run(capsys, "zeros", "--n", "50", "--a", "20.2",
                      "--format", "json")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("method", ["sweep", "asymptotic"])
+def test_err_est_bounds_oracle_error(capsys, method):
+    # a stalled sweep (exit 2) is checked on its partial rows
+    for n, a in ERR_EST_GRID:
+        code, out, _ = run(capsys, "zeros", "--n", str(n), "--a", repr(a),
+                           "--method", method, "--format", "json")
+        assert code == 0 or (method, code) == ("sweep", 2), (n, a)
+        for row in json.loads(out)["zeros"]:
+            z = complex(row["re"], row["im"])
+            assert row["err_est"] >= oracle_error(n, a, z), (n, a, row["m"])
+
+
+@pytest.fixture
+def no_quadratic_work(monkeypatch):
+    # the O(n^2) polynomial evaluations, wherever a module bound them
+    def refuse(*args, **kwargs):
+        raise AssertionError("O(n^2) polynomial work in rgbp-zeros zeros")
+
+    for name in ("relative_residual", "poly_coeffs", "theta_with_derivative"):
+        for key, module in list(sys.modules.items()):
+            if key.startswith("rgbpzeros") and hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+
+
+@pytest.mark.parametrize("method", ["sweep", "asymptotic"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_zeros_without_quadratic_work(capsys, no_quadratic_work, method,
+                                      fmt):
+    code, out, _ = run(capsys, "zeros", "--n", "400", "--a", "2.3",
+                       "--method", method, "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        ests = [row["err_est"] for row in json.loads(out)["zeros"]]
+    else:
+        ests = [float(row.split(",")[3]) for row in parse_csv(out)[2]]
+    assert len(ests) == 200
+    assert all(0.0 < e < 1e-12 for e in ests)
+
+
+def test_stalled_sweep_row_carries_estimate(capsys, no_quadratic_work):
+    code, out, _ = run(capsys, "zeros", "--n", "400", "--a", "-342.43",
+                       "--format", "json")
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["partial"] is True
+    assert len(doc["zeros"]) == 1
+    assert math.isfinite(doc["zeros"][0]["err_est"])
+
+
+def test_one_term_rows_have_no_estimate(capsys):
+    code, out, _ = run(capsys, "zeros", "--n", "9", "--a", "2.3",
+                       "--method", "asymptotic", "--terms", "1")
+    assert code == 0
+    assert [row.split(",")[3] for row in parse_csv(out)[2]] == ["nan"] * 5
+    code, out, _ = run(capsys, "zeros", "--n", "9", "--a", "2.3",
+                       "--method", "asymptotic", "--terms", "1",
+                       "--format", "json")
+    assert code == 0
+    assert [row["err_est"] for row in json.loads(out)["zeros"]] == [None] * 5
+
+
+def test_sweep_rows_without_expansion_keep_exit_code(capsys, monkeypatch):
+    # the expansion only checks the sweep: its failures leave the rows
+    # without an estimate and change neither the rows nor the exit code
+    approx_all = cli.approx_all
+
+    def failing(params, terms):
+        results = [ap for ap in approx_all(params, terms) if ap.m != 3]
+        raise ApproximationFailures("forced", [(3, ValueError())], results)
+
+    _, expected, _ = run(capsys, "zeros", "--n", "30", "--a", "2.3",
+                         "--format", "json")
+    monkeypatch.setattr(cli, "approx_all", failing)
+    code, out, err = run(capsys, "zeros", "--n", "30", "--a", "2.3",
+                         "--format", "json")
+    assert code == 0
+    assert err == ""
+    rows, ref = json.loads(out)["zeros"], json.loads(expected)["zeros"]
+    assert [(r["re"], r["im"]) for r in rows] == [(r["re"], r["im"])
+                                                  for r in ref]
+    assert [r["err_est"] is None for r in rows] == [r["m"] == 3 for r in rows]

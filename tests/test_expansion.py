@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from rgbpzeros import (ApproximationFailures, NewtonDivergence, approx_all,
@@ -7,6 +9,8 @@ from rgbpzeros.expansion import solve_tau0
 from rgbpzeros.jets import JetOps
 from rgbpzeros.sweep import Carrier, iterate_T
 from rgbpzeros.trig_series import PhiSeries
+
+from reference import ERR_EST_GRID, oracle_error
 
 NEWTON_ANCHOR_W = complex(-0.0935299175, 0.310545771)
 
@@ -120,6 +124,41 @@ def test_residual_decay_in_terms():
     floor = 1e-15
     assert all(x > y or x <= floor for x, y in zip(resids, resids[1:]))
     assert resids[4] <= 1e-4 * resids[0]
+
+
+def test_err_est_rule():
+    floor = expansion.ERR_EST_FLOOR
+    # decreasing terms: the last one
+    assert expansion._err_est([1e-3, 1e-6, 1e-9, 1e-12]) == 1e-12
+    # terms that grow: the largest
+    assert expansion._err_est([1e-6, 1e-4, 1e-9, 1e-12]) == 1e-4
+    assert expansion._err_est([1e-6, 1e-9, 1e-12, 1e-11]) == 1e-6
+    # noise below the floor is not growth, and the floor is the least
+    assert expansion._err_est([1e-6, 1e-9, 1e-15, 1e-14]) == floor
+    assert expansion._err_est([1e-6, 1e-9, 1e-15, 1e-12]) == 1e-6
+    assert expansion._err_est([1e-9, 1e-18, 1e-15]) == floor
+    assert expansion._err_est([1e-9, 1e-18, 1e-12]) == 1e-9
+    # one term has no estimate
+    assert math.isnan(expansion._err_est([]))
+
+
+def test_err_est_of_the_rows():
+    p = make_params(30, 1.2)
+    lg = build_lg_table(p)
+    assert math.isnan(approx_zero(p, lg, 1, terms=1).err_est)
+    ests = [approx_zero(p, lg, 1, terms=t).err_est for t in range(2, 6)]
+    assert all(x > y for x, y in zip(ests, ests[1:]))
+    # series rows and rows solved one by one
+    for n in (100, 1000):
+        for ap in approx_all(make_params(n, 2.3)):
+            assert expansion.ERR_EST_FLOOR <= ap.err_est < 1e-12
+
+
+@pytest.mark.parametrize("n", sorted({n for n, _ in ERR_EST_GRID}))
+def test_err_est_bounds_oracle_error(n):
+    for a in (a for nn, a in ERR_EST_GRID if nn == n):
+        for ap in approx_all(make_params(n, a)):
+            assert ap.err_est >= oracle_error(n, a, ap.t), (a, ap.m)
 
 
 def _count_calls(monkeypatch, counts, holder, attr):
