@@ -11,12 +11,16 @@ only as many and as long as the requested number of terms reads.
 
 tau_s depends on m only through the real zeta_m = a_m u^(-2/3), so
 ``approx_all`` runs the kernel at the Chebyshev-Lobatto points of
-[zeta_M, zeta_1] instead, in nested levels of 17, 33 and 65 nodes, until
-the series of t/u has a negligible tail, and reads every row from one
-Chebyshev series per tau_s by Clenshaw's rule (the technique of Bogaert
-2014 for Gauss-Legendre nodes).  With at most 65 zeros, or where a node
-fails or the tail test fails at 65 nodes, it solves each row on its own.
-Every row carries an error estimate from the sizes of its terms.
+[zeta_M, zeta_1] instead, in nested levels of 9, 17, 33 and 65 nodes, and
+reads every row from one Chebyshev series per tau_s by Clenshaw's rule
+(the technique of Bogaert 2014 for Gauss-Legendre nodes).  tau_s enters
+t/u with the weight u^(-2s), so each series stops at the first level where
+its weighted tail is negligible, and later nodes solve only the terms
+still open: at (n, a) = (200, 20.2), 33 tau_0 solves and 52 correction
+evaluations against 132 with all five terms at every node.  With at most
+SERIES_ABOVE_ZEROS = 24 zeros, or where a node fails or tau_0's tail test
+fails at 65 nodes, it solves each row on its own.  Every row carries an
+error estimate from the sizes of its terms.
 """
 
 from __future__ import annotations
@@ -32,13 +36,19 @@ from .mapping import left_Z, map_point, xi_closed_form, zeta_for_airy_zero
 from .params import ProblemParams
 from .phase import phase_corrections
 
-LOW_CONFIDENCE_N = 10  # the expansion is asymptotic; below this n it is a guess
 NEWTON_TOL = 1e-14
 NEWTON_MAX_ITERS = 50
 _RETRY_SEEDS = (0.0 + 0.0j, 0.1j, 0.2j)
-SERIES_DEGREES = (16, 32, 64)  # nested Chebyshev-Lobatto levels: 17, 33, 65 nodes
-SERIES_TAIL_RTOL = 1e-14       # the node samples' noise plateau is 2-4e-15
-ERR_EST_FLOOR = 1e-13          # see _err_est
+SERIES_DEGREES = (8, 16, 32, 64)  # nested Chebyshev-Lobatto levels: 9 .. 65 nodes
+SERIES_TAIL_RTOL = 1e-14          # the node samples' noise plateau is 2-4e-15
+ERR_EST_FLOOR = 1e-13             # see _err_est
+# approx_all reads the rows from the series above this many zeros M.
+# Series time over per-m loop time, in-process best of 11 on 2 cores, at
+# alpha in {-0.8, 0, 2.3, 6}: M = 18: 1.15-1.58; M = 24: 0.84-1.07;
+# M = 25: 0.76-0.88; M = 40: 0.42-0.57; M = 65: 0.27-0.46.  Near the lower
+# edge, where tau_0 needs 33 nodes and tau_3 stays open to them, it is
+# still 1.0-1.5 at M = 25-30 (alpha from -0.9 to -0.84).
+SERIES_ABOVE_ZEROS = 24
 
 
 @dataclass
@@ -53,7 +63,6 @@ class ZeroApprox:
     tau: List[complex]
     t: complex                    # assembled zero approximation
     terms_used: int
-    low_confidence: bool = False
     err_est: float = math.nan
 
 
@@ -196,7 +205,6 @@ def _zero_approx(params: ProblemParams, m: int,
         t = complex(t.real, 0.0)
     scale = abs(t) / u
     return ZeroApprox(m=m, tau=tau, t=t, terms_used=len(tau),
-                      low_confidence=params.n < LOW_CONFIDENCE_N,
                       err_est=_err_est([abs(c) / scale for c in terms[1:]]))
 
 
@@ -210,18 +218,22 @@ def approx_zero(params: ProblemParams, lg: LgTable, m: int,
     return _zero_approx(params, m, _expand(params, lg, m, zeta0, xi0, terms))
 
 
-def _chebyshev_coeffs(values: List[complex]) -> List[complex]:
-    """c_0 .. c_N of the interpolant sum_k c_k T_k(x) through ``values`` at
-    the Chebyshev-Lobatto points x_j = cos(pi j / N), j = 0..N (DCT-I)."""
-    N = len(values) - 1
+def _chebyshev_coeffs(series: List[List[complex]]) -> List[List[complex]]:
+    """c_0 .. c_N of the interpolant sum_k c_k T_k(x) through each list of
+    values at the Chebyshev-Lobatto points x_j = cos(pi j / N), j = 0..N
+    (DCT-I), all from one cosine table."""
+    N = len(series[0]) - 1
     cosines = [math.cos(math.pi * i / N) for i in range(2 * N)]
-    f = [0.5 * values[0], *values[1:N], 0.5 * values[N]]
-    coeffs = [2.0 / N * sum(fj * cosines[j * k % (2 * N)]
-                            for j, fj in enumerate(f))
-              for k in range(N + 1)]
-    coeffs[0] *= 0.5
-    coeffs[N] *= 0.5
-    return coeffs
+    out = []
+    for values in series:
+        f = [0.5 * values[0], *values[1:N], 0.5 * values[N]]
+        coeffs = [2.0 / N * sum(fj * cosines[j * k % (2 * N)]
+                                for j, fj in enumerate(f))
+                  for k in range(N + 1)]
+        coeffs[0] *= 0.5
+        coeffs[N] *= 0.5
+        out.append(coeffs)
+    return out
 
 
 def _clenshaw(coeffs: List[complex], x: float) -> complex:
@@ -233,16 +245,32 @@ def _clenshaw(coeffs: List[complex], x: float) -> complex:
     return coeffs[0] + x * b1 - b2
 
 
+def _open_after(weights: List[float], coeffs: List[List[complex]],
+                open_terms: int, scale: float) -> int:
+    """How many of the series tau_0 .. tau_{open_terms-1} stay open after a
+    level: the top open one closes while its weighted last three
+    coefficients u^(-2s) |c_s[-3:]| are at most SERIES_TAIL_RTOL of
+    ``scale``, the largest coefficient of F."""
+    k = open_terms
+    while k and all(weights[k - 1] * abs(c) <= SERIES_TAIL_RTOL * scale
+                    for c in coeffs[k - 1][-3:]):
+        k -= 1
+    return k
+
+
 def _series_rows(params: ProblemParams, lg: LgTable,
                  terms: int) -> Optional[List[ZeroApprox]]:
     """Every row from one Chebyshev series in zeta per tau_s, or None when
-    a node fails or the series has not converged at the last level.
+    a node fails or the series of tau_0 is still open at the last level.
 
     tau_s depends on m only through the real zeta_m, so t/u is one
-    analytic function F(zeta) on [zeta_M, zeta_1].  It is sampled at the
-    Chebyshev-Lobatto points of nested levels (each reuses the samples of
-    the one before) until the last three coefficients of
-    F = sum_s c_s u^(-2s) fall below SERIES_TAIL_RTOL of the largest.
+    analytic function F(zeta) = sum_s u^(-2s) tau_s(zeta) on
+    [zeta_M, zeta_1].  It is sampled at the Chebyshev-Lobatto points of
+    nested levels of 9, 17, 33 and 65 nodes, each reusing the samples of
+    the one before.  tau_s reaches F only through its weight u^(-2s), so
+    each series closes at its own level (``_open_after``) and enters F at
+    its own length; a node solves only the terms still open (one open term
+    is Newton alone).  The series is done when tau_0 closes.
     """
     M = params.num_upper_zeros
     hi = zeta_for_airy_zero(params, 1)[0].real
@@ -250,6 +278,8 @@ def _series_rows(params: ProblemParams, lg: LgTable,
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     weights = [params.u ** (-2 * s) for s in range(terms)]
     samples: List[List[complex]] = []
+    coeffs: List[List[complex]] = []
+    open_terms = terms
     for N in SERIES_DEGREES:
         coarse, samples = samples, []
         for j in range(N + 1):
@@ -260,15 +290,19 @@ def _series_rows(params: ProblemParams, lg: LgTable,
             xi = -2j * (-zeta) ** 1.5 / 3.0
             try:
                 samples.append(_expand(params, lg, None, complex(zeta), xi,
-                                       terms))
+                                       open_terms))
             except (RgbpError, ArithmeticError, ValueError):
                 return None  # the per-m loop reports the failing indices
-        coeffs = [_chebyshev_coeffs([tau[s] for tau in samples])
-                  for s in range(terms)]
-        F = [sum(w * c[k] for w, c in zip(weights, coeffs))
-             for k in range(N + 1)]
+        # the open series are refitted; a closed one keeps its coefficients
+        coeffs[:open_terms] = _chebyshev_coeffs(
+            [[tau[s] for tau in samples] for s in range(open_terms)])
+        F = [0j] * (N + 1)
+        for w, c in zip(weights, coeffs):
+            for k, ck in enumerate(c):
+                F[k] += w * ck
         scale = max(abs(c) for c in F)
-        if all(abs(c) <= SERIES_TAIL_RTOL * scale for c in F[-3:]):
+        open_terms = _open_after(weights, coeffs, open_terms, scale)
+        if not open_terms:
             break
     else:
         return None
@@ -289,17 +323,20 @@ def _series_rows(params: ProblemParams, lg: LgTable,
 def approx_all(params: ProblemParams, terms: int = 5) -> List[ZeroApprox]:
     """One approximation per m = 1..floor((n+1)/2).
 
-    With more than SERIES_DEGREES[-1] + 1 zeros every row is read from one
-    Chebyshev series in zeta per tau_s (at most that many expansion solves
-    per problem); where that series fails or does not converge, and at
-    fewer zeros, each row is solved on its own by ``approx_zero``.
+    With more than SERIES_ABOVE_ZEROS = 24 zeros every row is read from one
+    Chebyshev series in zeta per tau_s (``_series_rows``: at most 65
+    expansion solves per problem, 33 on every problem tried, each with only
+    the terms whose series is still open).  Where that series fails or does
+    not converge, and at fewer zeros, where it costs more than the rows
+    (measured beside SERIES_ABOVE_ZEROS), each row is solved on its own by
+    ``approx_zero``.
 
     Raises ValueError for a bad ``terms``, and ApproximationFailures
     (carrying the successful subset) if any index fails.
     """
     _check_terms(terms)
     lg = build_lg_table(params)
-    if params.num_upper_zeros > SERIES_DEGREES[-1] + 1:
+    if params.num_upper_zeros > SERIES_ABOVE_ZEROS:
         rows = _series_rows(params, lg, terms)
         if rows is not None:
             return rows
