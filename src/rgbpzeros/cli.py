@@ -29,11 +29,9 @@ from typing import List, Optional
 from .errors import (ApproximationFailures, InvalidDegree,
                      ParameterOutOfRange, RgbpError, SweepStalled)
 from .expansion import approx_all
-from .params import (DEFAULT_DELTA1, DEFAULT_DELTA2, ProblemParams,
-                     make_params)
+from .params import ProblemParams, make_params
 from .polynomials import oracle_zeros
-from .sweep import (POLISH_BELOW_N, SEED_TERMS_LARGE, SEED_TERMS_SMALL,
-                    sweep)
+from .sweep import sweep
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -65,8 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="real parameter")
         sp.add_argument("--output", default=None,
                         help="output path (default: stdout)")
-        sp.add_argument("--delta1", type=float, default=DEFAULT_DELTA1)
-        sp.add_argument("--delta2", type=float, default=DEFAULT_DELTA2)
 
     sp = sub.add_parser("zeros", help="compute upper-half zeros")
     common(sp)
@@ -139,16 +135,14 @@ def _compute_rows(args: argparse.Namespace, params: ProblemParams):
         except ApproximationFailures as exc:
             approxes = exc.results
         by_m = {ap.m: ap for ap in approxes}
-        # expansion terms of the first-zero seed, informational
-        terms = (SEED_TERMS_SMALL if args.n < POLISH_BELOW_N
-                 else SEED_TERMS_LARGE)
         rows = []
         for m, z in enumerate(zs, start=1):
             ap = by_m.get(m)
             err = (math.nan if ap is None
                    else abs(z - ap.t) / abs(ap.t) + ap.err_est)
+            # terms: those of the expansion the estimate is measured against
             rows.append(ZeroRow(m=m, z=z, err_est=err, method="sweep",
-                                terms=terms))
+                                terms=5))
     else:
         rows = [ZeroRow(m=ap.m, z=ap.t, err_est=ap.err_est,
                         method="asymptotic", terms=ap.terms_used)
@@ -157,7 +151,7 @@ def _compute_rows(args: argparse.Namespace, params: ProblemParams):
 
 
 def cmd_zeros(args: argparse.Namespace) -> int:
-    params = make_params(args.n, args.a, args.delta1, args.delta2)
+    params = make_params(args.n, args.a)
     rows, partial = _compute_rows(args, params)
     if args.format == "csv":
         _emit(_rows_to_csv(rows, partial), args.output)
@@ -170,7 +164,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if args.n > VALIDATE_MAX_N:
         raise ParameterOutOfRange(
             f"validate is limited to n <= {VALIDATE_MAX_N} (oracle bound)")
-    params = make_params(args.n, args.a, args.delta1, args.delta2)
+    params = make_params(args.n, args.a)
     truth = [z for z in oracle_zeros(args.n, args.a) if z.imag >= -1e-12]
     truth = truth[:params.num_upper_zeros]
 

@@ -5,8 +5,9 @@ previous zero) is carried by a truncated Taylor table of its derivatives,
 generated from the differential-equation recurrence; each new zero is the
 fixed point of  T(z) = z - arctan(sqrt(Omega) w / w') / sqrt(Omega),
 started one local half-period  H = pi / sqrt(Omega)  away.  The first zero
-comes from the asymptotic expansion (with a high-precision Newton polish
-at small degrees, where the expansion alone is not at full accuracy).
+is the 5-term asymptotic expansion where its own error estimate is at the
+floor (``ERR_EST_FLOOR``); elsewhere it is polished by Newton's method at
+high precision, started from the truncation with the smallest estimate.
 
 Cost is O(1) work per zero: the Taylor table has a fixed number of terms,
 and each transport step is chosen before it is taken, from the tail of the
@@ -22,16 +23,12 @@ from typing import List
 
 from .errors import (IterationDivergence, ParameterOutOfRange, StepTooLarge,
                      SweepStalled)
-from .expansion import approx_zero
+from .expansion import ERR_EST_FLOOR, approx_zero
 from .lg_coeffs import build_lg_table
-from .params import make_params
+from .params import ProblemParams, make_params
 from .polynomials import horner, typed_coeffs
 
-POLISH_BELOW_N = 30   # expansion seed is polished below this degree
-POLISH_DPS = 30
 POLISH_MAX_ITERS = 12  # Newton steps of the polish
-SEED_TERMS_SMALL = 3  # expansion terms for the polished small-n seed
-SEED_TERMS_LARGE = 5
 SEED_DRIFT_LIMIT = 0.5  # polished first zero may not move further than this
 TAYLOR_TERMS = 28     # table length K (derivatives 0..K), the measured fastest
 STEP_EPS = 1e-13      # Taylor truncation tolerance of one step
@@ -145,17 +142,23 @@ def iterate_T(carrier: Carrier, z0: complex, *,
                               f"near z={z0}")
 
 
-def _first_zero(n: int, a: float) -> complex:
-    params = make_params(n, a)
+def _first_zero(params: ProblemParams) -> complex:
     lg = build_lg_table(params)
-    if n >= POLISH_BELOW_N:
-        return approx_zero(params, lg, 1, terms=SEED_TERMS_LARGE).t
-    seed = approx_zero(params, lg, 1, terms=SEED_TERMS_SMALL).t
+    ap = approx_zero(params, lg, 1, terms=5)
+    if ap.err_est <= ERR_EST_FLOOR:
+        return ap.t
+    # the polish starts from the truncation with the smallest estimate:
+    # near the lower edge at tiny n the later terms grow, and a 5-term
+    # start can land on another zero or drift away
+    seed = min([ap] + [approx_zero(params, lg, 1, terms=k) for k in (4, 3, 2)],
+               key=lambda start: start.err_est).t
     import mpmath as mp
 
-    with mp.workdps(POLISH_DPS):
-        coefs = typed_coeffs(n, mp.mpf(a))
-        tol = mp.mpf(10) ** (-POLISH_DPS + 6)
+    n = params.n
+    dps = 30 + n // 2  # the monomial basis loses about n/3 digits
+    with mp.workdps(dps):
+        coefs = typed_coeffs(n, mp.mpf(params.a))
+        tol = mp.mpf(10) ** (-dps + 6)
         z = mp.mpc(seed)
         for _ in range(POLISH_MAX_ITERS):
             p, q = horner(coefs, z)
@@ -178,12 +181,12 @@ def sweep(n: int, a: float, eps: float = 1e-12) -> List[complex]:
     The lower-half zeros are the conjugates; for odd n the last entry is
     the single real zero (its imaginary part snapped to exactly zero).
     """
-    make_params(n, a)  # validate up front
+    params = make_params(n, a)
     if not 0.0 < eps < math.inf:
         raise ParameterOutOfRange(
             f"eps must be finite and positive, got {eps}")
     M = (n + 1) // 2
-    zeros = [_first_zero(n, a)]
+    zeros = [_first_zero(params)]
     for _ in range(1, M):
         zp = zeros[-1]
         sq = cmath.sqrt(omega(n, a, zp))

@@ -74,7 +74,6 @@ def test_parameter_out_of_range_usage_exit(capsys):
 
 
 @pytest.mark.parametrize("option,value", [
-    ("--delta1", "1.5"), ("--delta2", "-1"),
     ("--eps", "0"), ("--eps", "-1"), ("--eps", "nan"), ("--eps", "inf"),
 ])
 def test_bad_option_value_usage_exit(capsys, option, value):
@@ -85,6 +84,18 @@ def test_bad_option_value_usage_exit(capsys, option, value):
     assert out == ""
     assert err.startswith("ParameterOutOfRange: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--delta1", "1.5"), ("--delta2", "-1"),
+])
+def test_window_options_are_unknown_flags(capsys, option, value):
+    # the window is fixed at -0.9n + 3/2 <= a <= 10n, for both methods
+    code, out, err = run(capsys, "zeros", "--n", "40", "--a", "2",
+                         option, value)
+    assert code == 64
+    assert out == ""
+    assert "unrecognized arguments" in err
 
 
 def test_unknown_flag_usage_exit(capsys):

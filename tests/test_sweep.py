@@ -10,6 +10,8 @@ from rgbpzeros import (StepTooLarge, SweepStalled, approx_all, approx_zero,
 from rgbpzeros.polynomials import poly_coeffs, relative_residual
 from rgbpzeros.sweep import Carrier, iterate_T, omega, taylor_step, taylor_table
 
+from reference import ERR_EST_GRID, oracle_error
+
 # the package attribute ``sweep`` is the function, not the module
 SWEEP_MODULE = sys.modules["rgbpzeros.sweep"]
 
@@ -195,6 +197,26 @@ def test_sweep_agrees_with_expansion(alpha):
     assert len(zs) == len(approxes) == 200
     for z, ap in zip(zs, approxes):
         assert abs(z - ap.t) <= 5e-13 * abs(ap.t), ap.m
+
+
+# the lower edge at n = 1 and 2, where the 5-term expansion is no start for
+# the first zero's polish; kept out of ERR_EST_GRID because its estimate does
+# not bound its error there (140 against 1.0 at (1, -0.9))
+TINY_LOWER_EDGE = [(n, a_from_alpha(n, alpha)) for n in (1, 2)
+                   for alpha in (-0.9, -0.89)]
+SWEEP_ORACLE_GRID = sorted(set(ERR_EST_GRID) | set(TINY_LOWER_EDGE))
+
+
+@pytest.mark.parametrize("n", sorted({n for n, _ in SWEEP_ORACLE_GRID}))
+def test_sweep_rows_match_oracle(n):
+    # a stalled sweep is checked on its partial rows
+    for a in (a for nn, a in SWEEP_ORACLE_GRID if nn == n):
+        try:
+            zs = sweep(n, a)
+        except SweepStalled as exc:
+            zs = exc.partial
+        for m, z in enumerate(zs, start=1):
+            assert oracle_error(n, a, z) <= 1e-13, (a, m)
 
 
 LOWER_EDGE_STALL = pytest.mark.xfail(
