@@ -10,8 +10,8 @@ other name lives in its submodule.
 from .errors import (ApproximationFailures, InvalidDegree,
                      IterationDivergence, NewtonDivergence, NonpositiveIndex,
                      OracleNoConvergence, ParameterOutOfRange, RgbpError,
-                     StepTooLarge, SweepStalled, TurningPointProximity,
-                     ZeroArgument, ZetaVanishes)
+                     SweepStalled, TurningPointProximity, ZeroArgument,
+                     ZetaVanishes)
 from .expansion import ZeroApprox, approx_all, approx_zero
 from .lg_coeffs import build_lg_table
 from .params import ProblemParams, make_params
@@ -26,6 +26,5 @@ __all__ = [
     "RgbpError", "InvalidDegree", "ParameterOutOfRange",
     "TurningPointProximity", "ZetaVanishes", "NonpositiveIndex",
     "NewtonDivergence", "ZeroArgument", "OracleNoConvergence",
-    "StepTooLarge", "IterationDivergence", "SweepStalled",
-    "ApproximationFailures",
+    "IterationDivergence", "SweepStalled", "ApproximationFailures",
 ]

@@ -11,8 +11,7 @@ class InvalidDegree(RgbpError):
 
 class ParameterOutOfRange(RgbpError):
     """A parameter lies outside its admissible range: a outside the window
-    for the degree, delta1 or delta2 outside theirs, or a tolerance eps
-    that is not finite and positive."""
+    for the degree, or a tolerance eps that is not finite and positive."""
 
 
 class TurningPointProximity(RgbpError):
@@ -41,10 +40,6 @@ class OracleNoConvergence(RgbpError):
     def __init__(self, message, indices=()):
         super().__init__(message)
         self.indices = list(indices)
-
-
-class StepTooLarge(RgbpError):
-    """Taylor step truncation estimate exceeds the requested tolerance."""
 
 
 class IterationDivergence(RgbpError):

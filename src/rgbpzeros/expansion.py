@@ -38,7 +38,6 @@ from .phase import phase_corrections
 
 NEWTON_TOL = 1e-14
 NEWTON_MAX_ITERS = 50
-_RETRY_SEEDS = (0.0 + 0.0j, 0.1j, 0.2j)
 SERIES_DEGREES = (8, 16, 32, 64)  # nested Chebyshev-Lobatto levels: 9 .. 65 nodes
 SERIES_TAIL_RTOL = 1e-14          # the node samples' noise plateau is 2-4e-15
 ERR_EST_FLOOR = 1e-13             # see _err_est
@@ -84,7 +83,8 @@ def solve_tau0(params: ProblemParams, m: Optional[int],
     """Leading coefficient tau_0 for index m, or at ``xi_target`` alone.
 
     Returns (tau0, residual, iters).  Newton runs on w with tau_0 = -1/2 + w,
-    seeded at w = 0 (retrying from small imaginary seeds on divergence).
+    seeded at w = 0; an arithmetic error inside it raises NewtonDivergence
+    from that error.
     ``xi_target`` is the pinned xi of ``zeta_for_airy_zero(params, m)``,
     looked up here when the caller does not pass it; with m None it is any
     xi = -(2i/3)|zeta|^(3/2) of a real zeta < 0, a Chebyshev node.
@@ -94,33 +94,31 @@ def solve_tau0(params: ProblemParams, m: Optional[int],
     if xi_target is None:
         _, xi_target = zeta_for_airy_zero(params, m)
     al = params.alpha
-    last_exc: Optional[Exception] = None
-    for seed in _RETRY_SEEDS:
-        w, mirrored = seed, False
-        try:
-            for it in range(1, NEWTON_MAX_ITERS + 1):
+    w, mirrored = 0j, False
+    cause: Optional[Exception] = None
+    try:
+        for it in range(1, NEWTON_MAX_ITERS + 1):
+            tau = -0.5 + w
+            f, fp = _tau0_residual(params, tau, xi_target)
+            dw = f / fp
+            w -= dw
+            if abs(dw) <= NEWTON_TOL * (1.0 + abs(w)):
                 tau = -0.5 + w
-                f, fp = _tau0_residual(params, tau, xi_target)
-                dw = f / fp
-                w -= dw
-                if abs(dw) <= NEWTON_TOL * (1.0 + abs(w)):
-                    tau = -0.5 + w
-                    if (tau + 0.5 * al).real <= 0.0:
-                        resid = abs(_tau0_residual(params, tau, xi_target)[0])
-                        return tau, resid, it
-                    if mirrored:
-                        break
-                    # near the lower window edge the equation also has roots
-                    # right of the segment Re(tau + alpha/2) = 0, off the
-                    # branch of the zeros; the mirror image of one in that
-                    # segment lies in the basin of the left root
-                    w, mirrored = complex(1.0 - al - w.real, w.imag), True
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            last_exc = exc
-            continue
+                if (tau + 0.5 * al).real <= 0.0:
+                    resid = abs(_tau0_residual(params, tau, xi_target)[0])
+                    return tau, resid, it
+                if mirrored:
+                    break
+                # near the lower window edge the equation also has roots
+                # right of the segment Re(tau + alpha/2) = 0, off the branch
+                # of the zeros; the mirror image of one in that segment lies
+                # in the basin of the left root
+                w, mirrored = complex(1.0 - al - w.real, w.imag), True
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        cause = exc
     raise NewtonDivergence(
         f"tau_0 Newton failed for n={params.n}, a={params.a}, m={m}"
-        + (f" ({last_exc})" if last_exc else ""))
+        + (f" ({cause})" if cause else "")) from cause
 
 
 def _check_terms(terms: int) -> None:
@@ -193,8 +191,8 @@ def _err_est(sizes: List[float]) -> float:
     return max(sizes[-1] if decreasing else max(sizes), ERR_EST_FLOOR)
 
 
-def _zero_approx(params: ProblemParams, m: int,
-                 tau: List[complex]) -> ZeroApprox:
+def zero_approx(params: ProblemParams, m: int,
+                tau: List[complex]) -> ZeroApprox:
     """The row of index m whose zero u * sum_s tau_s / u^(2s) sums ``tau``."""
     u = params.u
     terms = [tau[s] / u ** (2 * s) for s in range(len(tau))]
@@ -215,7 +213,7 @@ def approx_zero(params: ProblemParams, lg: LgTable, m: int,
     _check_terms(terms)
     _check_index(params, m)
     zeta0, xi0 = zeta_for_airy_zero(params, m)
-    return _zero_approx(params, m, _expand(params, lg, m, zeta0, xi0, terms))
+    return zero_approx(params, m, _expand(params, lg, m, zeta0, xi0, terms))
 
 
 def _chebyshev_coeffs(series: List[List[complex]]) -> List[List[complex]]:
@@ -316,7 +314,7 @@ def _series_rows(params: ProblemParams, lg: LgTable,
     rows = []
     for m in range(1, M + 1):
         x = (zeta_for_airy_zero(params, m)[0].real - mid) / half
-        rows.append(_zero_approx(params, m, [_clenshaw(c, x) for c in coeffs]))
+        rows.append(zero_approx(params, m, [_clenshaw(c, x) for c in coeffs]))
     return rows
 
 
@@ -332,7 +330,9 @@ def approx_all(params: ProblemParams, terms: int = 5) -> List[ZeroApprox]:
     ``approx_zero``.
 
     Raises ValueError for a bad ``terms``, and ApproximationFailures
-    (carrying the successful subset) if any index fails.
+    (carrying the successful subset) if any index fails with an RgbpError,
+    ArithmeticError or ValueError, the failures ``_series_rows`` also
+    catches; any other exception propagates.
     """
     _check_terms(terms)
     lg = build_lg_table(params)
@@ -345,7 +345,8 @@ def approx_all(params: ProblemParams, terms: int = 5) -> List[ZeroApprox]:
     for m in range(1, params.num_upper_zeros + 1):
         try:
             results.append(approx_zero(params, lg, m, terms))
-        except Exception as exc:  # aggregated with the offending index
+        except (RgbpError, ArithmeticError, ValueError) as exc:
+            # aggregated with the offending index
             failures.append((m, exc))
     if failures:
         raise ApproximationFailures(

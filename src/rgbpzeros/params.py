@@ -5,9 +5,10 @@ For degree ``n`` and real parameter ``a`` the scaled quantities are
     u = n + 1/2,    alpha = (a - 2)/u,    sigma = sqrt(1 + alpha),
 
 and the two turning points of the scaled differential equation sit at
-``z = +/- i*sigma - alpha/2``.  The asymptotic theory needs ``a`` inside the
-window ``-delta1*n + 3/2 <= a <= delta2*n`` so that the turning points stay
-bounded away from each other and from the origin.
+``z = +/- i*sigma - alpha/2``.  Both answer paths take ``a`` inside the
+window ``-0.9*n + 3/2 <= a <= 10*n``, where the turning points stay bounded
+away from each other and from the origin; ``make_params`` holds its only
+definition.
 """
 
 from __future__ import annotations
@@ -16,10 +17,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidDegree, ParameterOutOfRange
-
-DEFAULT_DELTA1 = 0.9
-DEFAULT_DELTA2 = 10.0
-
 
 @dataclass(frozen=True)
 class ProblemParams:
@@ -36,24 +33,17 @@ class ProblemParams:
         return (self.n + 1) // 2
 
 
-def make_params(n: int, a: float,
-                delta1: float = DEFAULT_DELTA1,
-                delta2: float = DEFAULT_DELTA2) -> ProblemParams:
+def make_params(n: int, a: float) -> ProblemParams:
     """Validate (n, a) and derive the fixed per-problem constants.
 
-    Raises InvalidDegree for n < 1 and ParameterOutOfRange when delta1 is
-    not in (0, 1), delta2 is not positive, or ``a`` falls outside the
-    admissibility window they control.
+    Raises InvalidDegree for n < 1 and ParameterOutOfRange when ``a`` falls
+    outside the window -0.9n + 3/2 <= a <= 10n.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InvalidDegree(f"degree must be a positive integer, got {n!r}")
-    if not 0.0 < delta1 < 1.0:
-        raise ParameterOutOfRange(f"delta1 must lie in (0, 1), got {delta1}")
-    if not delta2 > 0.0:
-        raise ParameterOutOfRange(f"delta2 must be positive, got {delta2}")
     a = float(a)
-    lo = -delta1 * n + 1.5
-    hi = delta2 * n
+    lo = -0.9 * n + 1.5
+    hi = 10.0 * n
     if not lo <= a <= hi:
         raise ParameterOutOfRange(
             f"a={a} outside admissible range [{lo}, {hi}] for n={n}")

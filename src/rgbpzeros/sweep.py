@@ -21,9 +21,8 @@ import cmath
 import math
 from typing import List
 
-from .errors import (IterationDivergence, ParameterOutOfRange, StepTooLarge,
-                     SweepStalled)
-from .expansion import ERR_EST_FLOOR, approx_zero
+from .errors import IterationDivergence, ParameterOutOfRange, SweepStalled
+from .expansion import ERR_EST_FLOOR, approx_zero, zero_approx
 from .lg_coeffs import build_lg_table
 from .params import ProblemParams, make_params
 from .polynomials import horner, typed_coeffs
@@ -63,14 +62,14 @@ def taylor_table(n: int, a: float, z0: complex, w0: complex, dw0: complex,
     return d
 
 
-def taylor_step(d: List[complex], h: complex, eps: float = STEP_EPS):
-    """(w, w') a displacement h from the table's base point.
+def taylor_step(d: List[complex], h: complex):
+    """(w, w') a displacement h from the table's base point, summing the
+    terms 0 .. K-1 of the table d[0..K] for w and 1 .. K for w'.
 
-    The last retained term bounds the truncation; the step is rejected
-    (StepTooLarge) when that estimate exceeds eps relative to the result.
+    The step is not checked here: the Carrier sizes every step it takes
+    from the table's tail, so that the truncation is below STEP_EPS.
     """
-    K = len(d) - 1
-    N = K - 1
+    N = len(d) - 2
     w = 0j
     dw = 0j
     term = 1.0 + 0j
@@ -78,9 +77,6 @@ def taylor_step(d: List[complex], h: complex, eps: float = STEP_EPS):
         w += d[k] * term
         dw += d[k + 1] * term
         term = term * h / (k + 1)
-    est = max(abs(d[N]), abs(d[K])) * abs(h) ** N / math.factorial(N)
-    if est > eps * max(abs(w), abs(dw), 1.0):
-        raise StepTooLarge(f"truncation estimate {est:.3e} at |h|={abs(h):.3e}")
     return w, dw
 
 
@@ -88,8 +84,10 @@ class Carrier:
     """Movable Taylor table transporting (w, w') along the sweep path.
 
     Each table carries its own step bound h_max, taken from its tail so
-    that the truncation estimate of taylor_step stays below STEP_EPS on
-    every step of length <= h_max; the carrier never tries a longer one.
+    that the truncation estimate max(|d_{K-1}|, |d_K|) |h|^(K-1) / (K-1)!
+    stays below STEP_EPS * max(|w|, |w'|, 1) on every step of length
+    <= h_max; the carrier never takes a longer one.  A table whose tail is
+    not finite bounds no step and raises IterationDivergence.
     """
 
     def __init__(self, n: int, a: float, z0: complex, w0: complex,
@@ -101,12 +99,15 @@ class Carrier:
         self.z0 = z0
         self.d = taylor_table(self.n, self.a, z0, w0, dw0, TAYLOR_TERMS)
         N = TAYLOR_TERMS - 1
-        tail = max(abs(self.d[N]), abs(self.d[N + 1]))
-        # est = tail * h^N / N! <= STEP_SAFETY^N * STEP_EPS for |h| <= h_max;
-        # the scale 1 is the smallest taylor_step accepts.  A zero tail
-        # bounds nothing, and an overflowed one is left to taylor_step's
-        # own check, so that the walk below always ends.
-        if 0.0 < tail < math.inf:
+        ends = abs(self.d[N]), abs(self.d[N + 1])
+        if not (ends[0] < math.inf and ends[1] < math.inf):  # inf or NaN
+            raise IterationDivergence(
+                f"Taylor table at z={z0} is not finite")
+        tail = max(ends)
+        # est = tail * h^N / N! <= STEP_SAFETY^N * STEP_EPS for |h| <= h_max,
+        # against the smallest scale 1 of the result.  A zero tail bounds
+        # nothing; a finite one gives h_max > 0, so the walk below ends.
+        if tail:
             self.h_max = STEP_SAFETY * (STEP_EPS * math.factorial(N)
                                         / tail) ** (1.0 / N)
         else:
@@ -117,10 +118,10 @@ class Carrier:
         h = z - self.z0
         while abs(h) > self.h_max:
             step = h * (self.h_max / abs(h))
-            w, dw = taylor_step(self.d, step, STEP_EPS)
+            w, dw = taylor_step(self.d, step)
             self._expand(self.z0 + step, w, dw)
             h = z - self.z0
-        return taylor_step(self.d, h, STEP_EPS)
+        return taylor_step(self.d, h)
 
 
 def iterate_T(carrier: Carrier, z0: complex, *,
@@ -150,7 +151,7 @@ def _first_zero(params: ProblemParams) -> complex:
     # the polish starts from the truncation with the smallest estimate:
     # near the lower edge at tiny n the later terms grow, and a 5-term
     # start can land on another zero or drift away
-    seed = min([ap] + [approx_zero(params, lg, 1, terms=k) for k in (4, 3, 2)],
+    seed = min((zero_approx(params, 1, ap.tau[:k]) for k in (5, 4, 3, 2)),
                key=lambda start: start.err_est).t
     import mpmath as mp
 
@@ -158,7 +159,12 @@ def _first_zero(params: ProblemParams) -> complex:
     dps = 30 + n // 2  # the monomial basis loses about n/3 digits
     with mp.workdps(dps):
         coefs = typed_coeffs(n, mp.mpf(params.a))
-        tol = mp.mpf(10) ** (-dps + 6)
+        # z is returned as a double, so the polish stops at a step below
+        # 2^-70 relative: the next one would be near its square, far below
+        # the double's 2^-53.  A tolerance near the working precision can
+        # lie below the Horner sum's rounding at high alpha (the steps stay
+        # near 1e-30 at (13, 130) with 36 digits) and is never met.
+        tol = mp.mpf(2) ** -70
         z = mp.mpc(seed)
         for _ in range(POLISH_MAX_ITERS):
             p, q = horner(coefs, z)

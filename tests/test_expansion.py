@@ -354,6 +354,31 @@ def test_failing_node_gives_failures_one_by_one(monkeypatch):
     assert [ap.t for ap in results] == [ap.t for ap in direct if ap.m != 7]
 
 
+def test_programming_error_in_a_row_propagates(monkeypatch):
+    # a failed index is a failure that a series node also catches; a
+    # TypeError is a programming error
+    solve = expansion.solve_tau0
+
+    def broken(params, m, xi_target=None):
+        if m == 7:
+            raise TypeError("forced")
+        return solve(params, m, xi_target)
+
+    monkeypatch.setattr(expansion, "solve_tau0", broken)
+    with pytest.raises(TypeError):
+        approx_all(make_params(30, 1.2))
+
+
+def test_arithmetic_error_in_newton_gives_newton_divergence(monkeypatch):
+    def failing(params, tau, xi_target):
+        raise ValueError("forced")
+
+    monkeypatch.setattr(expansion, "_tau0_residual", failing)
+    with pytest.raises(NewtonDivergence) as info:
+        solve_tau0(make_params(30, 1.2), 1)
+    assert isinstance(info.value.__cause__, ValueError)
+
+
 @pytest.mark.parametrize("n", [15, 30, 47])
 def test_few_zeros_solved_one_by_one(n):
     # with at most 24 zeros the series would cost more than the rows

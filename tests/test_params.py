@@ -36,11 +36,9 @@ def test_invalid_degree():
 
 
 def test_admissibility_window_overrides():
-    # a=25 is outside the default window for n=2 but inside a wider one
+    # a=25 is outside the window a <= 10n for n=2
     with pytest.raises(ParameterOutOfRange):
         make_params(2, 25.0)
-    p = make_params(2, 25.0, delta2=20.0)
-    assert p.a == 25.0
 
 
 def test_turning_point_factorization():

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 import sys
@@ -5,8 +6,9 @@ import sys
 import pytest
 import sympy
 
-from rgbpzeros import (StepTooLarge, SweepStalled, approx_all, approx_zero,
-                       build_lg_table, make_params, oracle_zeros, sweep)
+from rgbpzeros import (IterationDivergence, SweepStalled, approx_all,
+                       approx_zero, build_lg_table, make_params, oracle_zeros,
+                       sweep)
 from rgbpzeros.polynomials import poly_coeffs, relative_residual
 from rgbpzeros.sweep import Carrier, iterate_T, omega, taylor_step, taylor_table
 
@@ -85,10 +87,12 @@ def test_taylor_step_half_vs_full():
     assert abs(dw_full - dw_two) <= 1e-12 * (1.0 + abs(dw_full))
 
 
-def test_taylor_step_rejects_large_steps():
-    d = taylor_table(30, 1.2, complex(-6.0, 10.0), 0.0, 1.0, 16)
-    with pytest.raises(StepTooLarge):
-        taylor_step(d, 40.0 + 0.0j)
+def test_carrier_rejects_a_table_that_overflowed():
+    # the tail of this table overflows, so it bounds no step
+    z0, w0 = complex(-6.0, 10.0), 1e300
+    assert not cmath.isfinite(taylor_table(30, 1.2, z0, w0, w0)[-1])
+    with pytest.raises(IterationDivergence):
+        Carrier(30, 1.2, z0, w0, w0)
 
 
 def test_iterate_T_fixed_point_at_zero():
@@ -162,30 +166,34 @@ def test_sweep_real_zero_snap_for_odd_degree():
 
 
 def test_sweep_work_per_zero(monkeypatch):
-    """Steps are sized before they are taken: none is rejected, and each
-    zero costs about one Taylor table and two steps."""
-    counts = {"tables": 0, "steps": 0, "rejected": 0}
+    """Steps are sized before they are taken: every truncation estimate
+    max(|d_N|, |d_{N+1}|) |h|^N / N! is at most STEP_EPS relative to the
+    result, and each zero costs about one Taylor table and two steps."""
     table, step = SWEEP_MODULE.taylor_table, SWEEP_MODULE.taylor_step
 
     def counted_table(*args, **kwargs):
         counts["tables"] += 1
         return table(*args, **kwargs)
 
-    def counted_step(*args, **kwargs):
+    def counted_step(d, h):
         counts["steps"] += 1
-        try:
-            return step(*args, **kwargs)
-        except StepTooLarge:
-            counts["rejected"] += 1
-            raise
+        w, dw = step(d, h)
+        N = len(d) - 2
+        est = max(abs(d[N]), abs(d[N + 1])) * abs(h) ** N / math.factorial(N)
+        if est > SWEEP_MODULE.STEP_EPS * max(abs(w), abs(dw), 1.0):
+            counts["over"] += 1
+        return w, dw
 
     monkeypatch.setattr(SWEEP_MODULE, "taylor_table", counted_table)
     monkeypatch.setattr(SWEEP_MODULE, "taylor_step", counted_step)
-    zs = sweep(2000, 2.3)
-    assert len(zs) == 1000
-    assert counts["rejected"] == 0
-    assert counts["tables"] <= 1.5 * len(zs)
-    assert counts["steps"] <= 3 * len(zs)
+    for n, a in [(2000, 2.3), (1000, a_from_alpha(1000, -0.835)),
+                 (5000, a_from_alpha(5000, 9.9))]:
+        counts = {"tables": 0, "steps": 0, "over": 0}
+        zs = sweep(n, a)
+        assert len(zs) == (n + 1) // 2, n
+        assert counts["over"] == 0, n
+        assert counts["tables"] <= 1.5 * len(zs), n
+        assert counts["steps"] <= 3 * len(zs), n
 
 
 @pytest.mark.parametrize("alpha", [-0.8, 0.0, 5.0])
@@ -217,6 +225,25 @@ def test_sweep_rows_match_oracle(n):
             zs = exc.partial
         for m, z in enumerate(zs, start=1):
             assert oracle_error(n, a, z) <= 1e-13, (a, m)
+
+
+def test_first_zero_polish_stops_at_double_precision(monkeypatch):
+    # at high alpha the Horner sum's rounding holds the Newton steps near
+    # 1e-30; the polish stops once a step cannot move the double it returns
+    calls = []
+    horner = SWEEP_MODULE.horner
+
+    def counted(coefs, z):
+        calls.append(z)
+        return horner(coefs, z)
+
+    monkeypatch.setattr(SWEEP_MODULE, "horner", counted)
+    n, a = 13, 130.0
+    zs = sweep(n, a)
+    assert 1 <= len(calls) <= 4
+    assert len(zs) == 7
+    for m, z in enumerate(zs, start=1):
+        assert oracle_error(n, a, z) <= 1e-13, m
 
 
 LOWER_EDGE_STALL = pytest.mark.xfail(
