@@ -5,13 +5,20 @@ T(t) ~ t^(2/3) (1 + 5/48 t^-2 - 5/36 t^-4 + ...), DLMF 9.9.6 and 9.9.18.
 Six terms of it leave a truncation error of 4.1e-19 relative at m = 17 and
 less beyond; below that the zeros are tabulated.  Either way the value is
 the double nearest to a_m.
+
+``AIRY_PHASE`` holds C_1 .. C_4 of the Airy phase (2/3) x^(3/2) (1 + sum_k
+C_k x^(-3k)), DLMF 9.8(iv); the zero expansion has a term per C_k after tau_0.
 """
 
 from __future__ import annotations
 
 import functools
+from fractions import Fraction
 
 from .errors import NonpositiveIndex
+
+AIRY_PHASE = (Fraction(5, 32), Fraction(1105, 6144), Fraction(82825, 65536),
+              Fraction(1282031525, 58720256))
 
 # a_1 .. a_16 rounded from mpmath.airyaizero at 50 digits
 _TABLE = (

@@ -8,7 +8,7 @@ Each row of ``zeros`` carries ``err_est``, a relative error estimate that
 costs O(1) per row.  An asymptotic row reports the expansion's own
 estimate (``ZeroApprox.err_est``: its last term, or its largest where the
 terms grow).  A sweep row m reports |z - t_m| / |t_m| + err_est(t_m)
-against the 5-term expansion t_m, which bounds the sweep's error whenever
+against the full expansion t_m, which bounds the sweep's error whenever
 the expansion's estimate bounds the expansion's; NaN (``nan`` in CSV,
 ``null`` in JSON) where the expansion has no row.
 
@@ -28,7 +28,7 @@ from typing import List, Optional
 
 from .errors import (ApproximationFailures, InvalidDegree,
                      ParameterOutOfRange, RgbpError, SweepStalled)
-from .expansion import approx_all
+from .expansion import MAX_TERMS, approx_all
 from .params import ProblemParams, make_params
 from .polynomials import oracle_zeros
 from .sweep import sweep
@@ -63,19 +63,19 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="real parameter")
         sp.add_argument("--output", default=None,
                         help="output path (default: stdout)")
+        sp.add_argument("--terms", type=int, default=MAX_TERMS,
+                        choices=range(1, MAX_TERMS + 1),
+                        help="expansion terms (zeros: asymptotic method only)")
+        sp.add_argument("--eps", type=float, default=1e-12)
 
     sp = sub.add_parser("zeros", help="compute upper-half zeros")
     common(sp)
     sp.add_argument("--method", choices=("sweep", "asymptotic"),
                     default="sweep")
-    sp.add_argument("--terms", type=int, default=5, choices=range(1, 6))
-    sp.add_argument("--eps", type=float, default=1e-12)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
     sp = sub.add_parser("validate", help="compare both methods to the oracle")
     common(sp)
-    sp.add_argument("--terms", type=int, default=5, choices=range(1, 6))
-    sp.add_argument("--eps", type=float, default=1e-12)
     sp.add_argument("--gate", type=float, default=1e-10,
                     help="maximum allowed relative error")
     return p
@@ -108,7 +108,8 @@ def _rows_to_json(args: argparse.Namespace, params: ProblemParams,
         "meta": {"n": args.n, "a": args.a, "u": params.u,
                  "alpha": params.alpha,
                  "method": rows[0].method if rows else args.method,
-                 "terms": args.terms, "eps": args.eps},
+                 "terms": MAX_TERMS if args.method == "sweep" else args.terms,
+                 "eps": args.eps},
         "conjugates_implied": True,
         "partial": partial,
         "zeros": [{"m": r.m, "re": r.z.real, "im": r.z.imag,
@@ -131,7 +132,7 @@ def _compute_rows(args: argparse.Namespace, params: ProblemParams):
         # the expansion only checks the sweep here: rows it could not
         # give get no estimate, and never a failure
         try:
-            approxes = approx_all(params, terms=5)
+            approxes = approx_all(params, terms=MAX_TERMS)
         except ApproximationFailures as exc:
             approxes = exc.results
         by_m = {ap.m: ap for ap in approxes}
@@ -142,7 +143,7 @@ def _compute_rows(args: argparse.Namespace, params: ProblemParams):
                    else abs(z - ap.t) / abs(ap.t) + ap.err_est)
             # terms: those of the expansion the estimate is measured against
             rows.append(ZeroRow(m=m, z=z, err_est=err, method="sweep",
-                                terms=5))
+                                terms=MAX_TERMS))
     else:
         rows = [ZeroRow(m=ap.m, z=ap.t, err_est=ap.err_est,
                         method="asymptotic", terms=ap.terms_used)

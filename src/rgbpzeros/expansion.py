@@ -3,9 +3,10 @@
 For each index m the scaled zero has an expansion  u * sum_s tau_s / u^(2s).
 The leading coefficient tau_0 solves a transcendental equation on the
 left branch of the map (Newton on the shifted unknown w = tau_0 + 1/2);
-the next coefficients, up to four, follow from a closed cascade driven by
+up to MAX_TERMS - 1 = 4 more follow from a cascade that reverts
+zeta(tau) + sum_s U_s(tau) u^(-2s) = zeta(tau_0) order by order, reading
 the zeta jet that ``map_point`` returns at tau_0 on that same branch and
-the correction jets [U1, ..., U4] that ``phase_corrections`` builds there,
+the correction jets [U1, U2, ...] that ``phase_corrections`` builds there,
 only as many and as long as the requested number of terms reads.
 ``approx_zero`` runs this kernel at the Airy level set of one index.
 
@@ -29,13 +30,15 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional
 
+from .airy import AIRY_PHASE
 from .errors import ApproximationFailures, NewtonDivergence, RgbpError
-from .jets import Jet, JetOps
+from .jets import Jet
 from .lg_coeffs import LgTable, build_lg_table
 from .mapping import left_Z, map_point, xi_closed_form, zeta_for_airy_zero
 from .params import ProblemParams
 from .phase import phase_corrections
 
+MAX_TERMS = len(AIRY_PHASE) + 1  # tau_0, then one per Airy-phase C_s
 NEWTON_TOL = 1e-14
 NEWTON_MAX_ITERS = 50
 SERIES_DEGREES = (8, 16, 32, 64)  # nested Chebyshev-Lobatto levels: 9 .. 65 nodes
@@ -122,38 +125,29 @@ def solve_tau0(params: ProblemParams, m: Optional[int],
 
 
 def _check_terms(terms: int) -> None:
-    if not 1 <= terms <= 5:
-        raise ValueError("terms must be in 1..5")
+    if not 1 <= terms <= MAX_TERMS:
+        raise ValueError(f"terms must be in 1..{MAX_TERMS}")
 
 
 def _tau_cascade(zeta: Jet, ups: List[Jet]) -> List[complex]:
-    """tau_1 .. tau_k from the zeta jet and the k correction jets
-    [U1 .. Uk]; tau_s reads U_j to derivative order s - j."""
-    d = JetOps.derivative
+    """tau_1 .. tau_k from the zeta jet and the jets [U1 .. Uk]: order j of
+    zeta(tau_0 + delta) + sum_s eps^s U_s(tau_0 + delta) = zeta(tau_0),
+    delta = sum_j tau_j eps^j, is linear in tau_j with coefficient
+    zeta'(tau_0) and reads U_s to order j - s."""
     k = len(ups)
-    U1 = ups[0]
-    zd1 = d(zeta, 1)
-    t1 = -U1[0] / zd1
-    if k == 1:
-        return [t1]
-    U2 = ups[1]
-    zd2, du1, u2 = d(zeta, 2), d(U1, 1), U2[0]
-    t2 = -(t1 * t1 * zd2 + 2 * t1 * du1 + 2 * u2) / (2 * zd1)
-    if k == 2:
-        return [t1, t2]
-    U3 = ups[2]
-    zd3, d2u1, du2, u3 = d(zeta, 3), d(U1, 2), d(U2, 1), U3[0]
-    t3 = -(t1 ** 3 * zd3 + 6 * t1 * t2 * zd2 + 3 * t1 * t1 * d2u1
-           + 6 * t2 * du1 + 6 * t1 * du2 + 6 * u3) / (6 * zd1)
-    if k == 3:
-        return [t1, t2, t3]
-    zd4, d3u1, d2u2, du3, u4 = (d(zeta, 4), d(U1, 3), d(U2, 2), d(U3, 1),
-                                ups[3][0])
-    t4 = -(t1 ** 4 * zd4 + 12 * t1 * t1 * t2 * zd3 + 24 * t1 * t3 * zd2
-           + 12 * t2 * t2 * zd2 + 4 * t1 ** 3 * d3u1 + 24 * t1 * t2 * d2u1
-           + 12 * t1 * t1 * d2u2 + 24 * t3 * du1 + 24 * t2 * du2
-           + 24 * t1 * du3 + 24 * u4) / (24 * zd1)
-    return [t1, t2, t3, t4]
+    # P[i][m]: order m of delta^i, filled a column at a time; P[1] is tau
+    P = [[0j] * (k + 1) for _ in range(k + 1)]
+    for j in range(1, k + 1):
+        rest = ups[j - 1][0]
+        for i in range(2, j + 1):
+            for a in range(i - 1, j):
+                P[i][j] += P[i - 1][a] * P[1][j - a]
+            rest += zeta[i] * P[i][j]
+        for s in range(1, j):
+            for i in range(1, j - s + 1):
+                rest += ups[s - 1][i] * P[i][j - s]
+        P[1][j] = -rest / zeta[1]
+    return P[1][1:]
 
 
 def _expand(params: ProblemParams, lg: LgTable, m: Optional[int],
@@ -207,7 +201,7 @@ def zero_approx(params: ProblemParams, m: int,
 
 
 def approx_zero(params: ProblemParams, lg: LgTable, m: int,
-                terms: int = 5) -> ZeroApprox:
+                terms: int = MAX_TERMS) -> ZeroApprox:
     """tau_0 by Newton, then tau_1..tau_{terms-1} and the assembled
     approximation, all at the Airy level set of index m."""
     _check_terms(terms)
@@ -318,7 +312,7 @@ def _series_rows(params: ProblemParams, lg: LgTable,
     return rows
 
 
-def approx_all(params: ProblemParams, terms: int = 5) -> List[ZeroApprox]:
+def approx_all(params: ProblemParams, terms: int = MAX_TERMS) -> List[ZeroApprox]:
     """One approximation per m = 1..floor((n+1)/2).
 
     With more than SERIES_ABOVE_ZEROS = 24 zeros every row is read from one

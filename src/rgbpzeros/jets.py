@@ -81,11 +81,3 @@ class JetOps:
         for k in range(self.order - 1):
             r.append(da[k] / (k + 1))
         return r
-
-    @staticmethod
-    def derivative(a: Jet, k: int) -> complex:
-        """k-th derivative encoded by the jet."""
-        fact = 1.0
-        for j in range(2, k + 1):
-            fact *= j
-        return a[k] * fact

@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+from .airy import AIRY_PHASE
 from .params import ProblemParams
 from .trig_series import PhiSeries
 
-S_MAX = 7  # highest coefficient index the four correction terms consume
+S_MAX = 2 * len(AIRY_PHASE) - 1  # highest index consumed: U_k reads E_{2k-1}
 
 
 def const_d(al, s_odd: int):
@@ -89,4 +90,5 @@ class LgTable:
 
 def build_lg_table(params: ProblemParams) -> LgTable:
     return LgTable(E=coeff_E(params, S_MAX),
-                   d_const={s: const_d(params.alpha, s) for s in (1, 3, 5, 7)})
+                   d_const={s: const_d(params.alpha, s)
+                            for s in range(1, S_MAX + 1, 2)})

@@ -15,12 +15,12 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .airy import airy_zero
+from .airy import AIRY_PHASE, airy_zero
 from .errors import TurningPointProximity, ZeroArgument
 from .jets import Jet, JetOps
 from .params import ProblemParams
 
-_JET_ORDER = 5  # value + derivatives up to zeta''''
+_JET_ORDER = len(AIRY_PHASE) + 1  # value + derivatives up to zeta''''
 
 # exclusion radius around the turning point, relative to its size
 TURNING_POINT_RTOL = 1e-3

@@ -1,20 +1,23 @@
 """Correction terms of the phase-function expansion and their z-derivatives.
 
-The zero condition equates a corrected Airy variable to an Airy-zero level;
-the corrections enter as a series in inverse even powers of u whose first
-four coefficients are assembled here from the E-coefficients, the odd
-d-constants, and inverse powers of the Airy variable.  ``phase_corrections``
-returns them as the jets [U1, U2, U3, U4] in z, each only as long as the
-derivative orders needed downstream (3, 2, 1, 0 respectively), so those
-derivatives fall out of the same computation and no more.
+The zero condition puts zeta (1 + v), v = sum_k v_k eps^k in eps = u^-2, on
+an Airy-zero level.  With C_0 = 1 and C_j from ``AIRY_PHASE`` it reads
+
+    sum_{j>=0} C_j zeta^(-3j) (1 + v)^(3/2 - 3j) eps^j = 1 + beta,
+
+beta's order k being 9 xi (E_{2k-1} + d_{2k-1}) / (4 zeta^3).  Order k is
+linear in v_k with coefficient 3/2, and each power of 1 + v follows
+J. C. P. Miller's recurrence, so one reversion gives every U_k = zeta v_k.
+``phase_corrections`` returns them as jets in z, each only as long as the
+derivative orders the tau cascade reads.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isfinite
 from typing import List
 
+from .airy import AIRY_PHASE
 from .errors import ZetaVanishes
 from .jets import Jet, JetOps
 from .lg_coeffs import LgTable
@@ -22,30 +25,30 @@ from .mapping import MapState
 
 ZETA_TOL = 1e-8
 
-# Exact rational constants of the four correction coefficients.  The tails
-# are the a_s sequence folded in through xi^2 = (4/9) zeta^3; the tests
-# check that identity in exact rationals.
-TAIL_CONSTANTS = (Fraction(5, 48), Fraction(1105, 9216),
-                  Fraction(82825, 98304), Fraction(1282031525, 88080384))
-COUPLING_CONSTANTS = (Fraction(5, 32), Fraction(25, 128), Fraction(1105, 2048),
-                      Fraction(175, 768), Fraction(12155, 8192),
-                      Fraction(414125, 65536))
-# the same constants as the floats the corrections multiply by
-_TAILS = tuple(float(f) for f in TAIL_CONSTANTS)
-_COUPLINGS = tuple(float(f) for f in COUPLING_CONSTANTS)
+_PHASE = tuple(float(c) for c in AIRY_PHASE)
 # jet arithmetic of each length a correction jet can have
-_OPS = {k: JetOps(k) for k in range(1, 5)}
+_OPS = {k: JetOps(k) for k in range(1, len(AIRY_PHASE) + 1)}
+
+
+def _power_order(J: JetOps, p: float, v: List[Jet], g: List[Jet],
+                 m: int) -> Jet:
+    """Order m of g = (1 + v)^p by Miller's recurrence,
+    m g_m = sum_{i=1}^{m} ((p + 1) i - m) v_i g_{m-i}, where g_0 = 1."""
+    acc = J.scale(v[m][:J.order], p)
+    for i in range(1, m):
+        acc = J.add(acc, J.scale(J.mul(v[i], g[m - i]), ((p + 1) * i - m) / m))
+    return acc
 
 
 def phase_corrections(lg: LgTable, state: MapState,
-                      terms: int = 5) -> List[Jet]:
+                      terms: int = len(AIRY_PHASE) + 1) -> List[Jet]:
     """Jets [U1, ..., U_{terms-1}] at ``state.z``; U_s multiplies u^{-2s}.
 
     U_s holds terms - s coefficients, the derivative orders the tau cascade
     of a ``terms``-term expansion reads from it: at terms = 5, U1 to order
     3 and U4 its value alone.  A jet product never lets a coefficient
     depend on higher ones, so the coefficients kept are the same as in
-    full-length jets.  ``terms`` is 2..5.
+    full-length jets.  ``terms`` is 2 .. len(AIRY_PHASE) + 1.
     """
     zeta_j = state.zeta
     if abs(zeta_j[0]) < ZETA_TOL:
@@ -53,63 +56,32 @@ def phase_corrections(lg: LgTable, state: MapState,
             f"|zeta|={abs(zeta_j[0]):.3e} too small at z={state.z}")
     J = _OPS[terms - 1]
     zinv = J.div(J.const(1.0), zeta_j)
-    # zeta_pow[p] = zeta^-p; U_s reads p <= 3s - 1, so zeta^-p is needed
-    # to the length of the first U_s that reads it
-    zeta_pow = [J.const(1.0)]
-    for p in range(1, 3 * terms - 3):
-        zeta_pow.append(_OPS[terms - (p + 3) // 3].mul(zeta_pow[-1], zinv))
+    # zeta^(-3j) from j = 1, first read at order j, so to length terms - j
+    cubes = [J.mul(J.mul(zinv, zinv), zinv)]
+    for j in range(2, terms):
+        cubes.append(_OPS[terms - j].mul(cubes[-1], cubes[0]))
+    cz = [[], *(J.scale(w, c) for w, c in zip(cubes, _PHASE))]  # C_j zeta^-3j
+    beta_factor = J.scale(J.mul(state.xi, cubes[0]), 2.25)
+    v: List[Jet] = [[]]  # v[k], from k = 1
+    # g[j][m], m >= 1: order m of (1 + v)^(3/2 - 3j); order k reads m <= k - j
+    g: List[List[Jet]] = [[[]] for _ in range(terms - 1)]
+    ups = []
+    for k in range(1, terms):
+        J = _OPS[terms - k]
+        v.append(J.const(0.0))  # v_k = 0 till solved: order k less 3/2 v_k
+        g[0].append(_power_order(J, 1.5, v, g[0], k))
+        known = J.add(g[0][k], cz[k])
+        for j in range(1, k):
+            g[j].append(_power_order(J, 1.5 - 3 * j, v, g[j], k - j))
+            known = J.add(known, J.mul(cz[j], g[j][k - j]))
+        s = 2 * k - 1  # beta's order k is beta_factor (E_s + d_s)
+        Ed = J.add(lg.E[s].evaluate_jet(state.phi, state.sin, state.cos, J),
+                   J.const(lg.d_const[s]))
+        v[k] = J.scale(J.sub(J.mul(beta_factor, Ed), known), 2.0 / 3.0)
+        g[0][k] = J.add(g[0][k], J.scale(v[k], 1.5))
+        ups.append(J.mul(zeta_j, v[k]))
 
-    def odd_term(J: JetOps, s_odd: int, tail: float, tail_pow: int) -> Jet:
-        """3 xi (E_s + d_s)/(2 zeta^2) minus the rational tail constant."""
-        E = lg.E[s_odd].evaluate_jet(state.phi, state.sin, state.cos, J)
-        base = J.mul(J.scale(J.mul(state.xi, J.add(
-            E, J.const(lg.d_const[s_odd]))), 1.5), zeta_pow[2])
-        return J.sub(base, J.scale(zeta_pow[tail_pow], tail))
-
-    c5_32, c25_128, c1105_2048, c175_768, c12155_8192, c414125_65536 = (
-        _COUPLINGS)
-
-    U1 = odd_term(J, 1, _TAILS[0], 2)
-    ups = [U1]
-    if terms > 2:
-        J = _OPS[terms - 2]
-        U1sq = J.mul(U1, U1)
-        U2 = J.add(
-            J.add(J.scale(J.mul(U1sq, zeta_pow[1]), -0.25),
-                  J.scale(J.mul(U1, zeta_pow[3]), c5_32)),
-            odd_term(J, 3, _TAILS[1], 5))
-        ups.append(U2)
-    if terms > 3:
-        J = _OPS[terms - 3]
-        U3 = J.const(0.0)
-        for t in (J.scale(J.mul(J.mul(U1, U2), zeta_pow[1]), -0.5),
-                  J.scale(J.mul(J.mul(U1sq, U1), zeta_pow[2]), 1.0 / 24.0),
-                  J.scale(J.mul(U1sq, zeta_pow[4]), -c25_128),
-                  J.scale(J.mul(U2, zeta_pow[3]), c5_32),
-                  J.scale(J.mul(U1, zeta_pow[6]), c1105_2048),
-                  odd_term(J, 5, _TAILS[2], 8)):
-            U3 = J.add(U3, t)
-        ups.append(U3)
-    if terms > 4:
-        J = _OPS[terms - 4]
-        U4 = J.const(0.0)
-        for t in (J.scale(J.mul(J.mul(U1sq, U1sq), zeta_pow[3]), -1.0 / 64.0),
-                  J.scale(J.mul(J.mul(U1sq, U2), zeta_pow[2]), 1.0 / 8.0),
-                  J.scale(J.mul(J.mul(U1sq, U1), zeta_pow[5]), c175_768),
-                  J.scale(J.mul(J.mul(U1, U3), zeta_pow[1]), -0.5),
-                  J.scale(J.mul(J.mul(U1, U2), zeta_pow[4]), -25.0 / 64.0),
-                  J.scale(J.mul(J.mul(U2, U2), zeta_pow[1]), -0.25),
-                  J.scale(J.mul(U1sq, zeta_pow[7]), -c12155_8192),
-                  J.scale(J.mul(U3, zeta_pow[3]), c5_32),
-                  J.scale(J.mul(U2, zeta_pow[6]), c1105_2048),
-                  J.scale(J.mul(U1, zeta_pow[9]), c414125_65536),
-                  odd_term(J, 7, _TAILS[3], 11)):
-            U4 = J.add(U4, t)
-        ups.append(U4)
-
-    for jet in ups:
-        for c in jet:
-            if not (isfinite(c.real) and isfinite(c.imag)):
-                raise ZetaVanishes(
-                    f"non-finite correction coefficient at z={state.z}")
+    if not all(isfinite(c.real) and isfinite(c.imag)
+               for jet in ups for c in jet):
+        raise ZetaVanishes(f"non-finite correction coefficient at z={state.z}")
     return ups

@@ -5,7 +5,7 @@ previous zero) is carried by a truncated Taylor table of its derivatives,
 generated from the differential-equation recurrence; each new zero is the
 fixed point of  T(z) = z - arctan(sqrt(Omega) w / w') / sqrt(Omega),
 started one local half-period  H = pi / sqrt(Omega)  away.  The first zero
-is the 5-term asymptotic expansion where its own error estimate is at the
+is the full asymptotic expansion where its own error estimate is at the
 floor (``ERR_EST_FLOOR``); elsewhere it is polished by Newton's method at
 high precision, started from the truncation with the smallest estimate.
 
@@ -145,13 +145,14 @@ def iterate_T(carrier: Carrier, z0: complex, *,
 
 def _first_zero(params: ProblemParams) -> complex:
     lg = build_lg_table(params)
-    ap = approx_zero(params, lg, 1, terms=5)
+    ap = approx_zero(params, lg, 1)
     if ap.err_est <= ERR_EST_FLOOR:
         return ap.t
     # the polish starts from the truncation with the smallest estimate:
-    # near the lower edge at tiny n the later terms grow, and a 5-term
-    # start can land on another zero or drift away
-    seed = min((zero_approx(params, 1, ap.tau[:k]) for k in (5, 4, 3, 2)),
+    # near the lower edge at tiny n the later terms grow, and a start from
+    # all of them can land on another zero or drift away
+    seed = min((zero_approx(params, 1, ap.tau[:k])
+                for k in range(ap.terms_used, 1, -1)),
                key=lambda start: start.err_est).t
     import mpmath as mp
 

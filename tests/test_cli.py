@@ -45,6 +45,19 @@ def test_zeros_asymptotic_first_row(capsys):
     assert abs(complex(float(re), float(im)) - ref) <= 1e-10 * abs(ref)
 
 
+def test_terms_applies_to_the_asymptotic_method_only(capsys):
+    # a sweep row is checked against the full expansion whatever --terms
+    # says, and the JSON meta reports the terms its rows carry
+    for method, expected in (("sweep", 5), ("asymptotic", 3)):
+        code, out, _ = run(capsys, "zeros", "--n", "15", "--a", "2.3",
+                           "--method", method, "--terms", "3",
+                           "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["meta"]["terms"] == expected
+        assert {row["terms"] for row in doc["zeros"]} == {expected}
+
+
 def test_json_and_csv_agree(capsys):
     code, out_csv, _ = run(capsys, "zeros", "--n", "15", "--a", "2.3",
                            "--format", "csv")

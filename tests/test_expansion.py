@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -90,6 +91,34 @@ def test_approx_all_rejects_bad_terms(terms):
         approx_all(make_params(30, 1.2), terms=terms)
 
 
+@pytest.mark.parametrize("terms", [2, 3, 4, 5])
+def test_cascade_reverts_the_zero_condition(terms):
+    # with zeta and each U_s the polynomials in tau - tau_0 that their jets
+    # spell out, zeta(tau_0 + delta) - zeta(tau_0) + sum_s eps^s U_s(tau_0
+    # + delta) at delta = sum_k tau_k eps^k is O(eps^terms): halving eps
+    # divides it by 2^terms
+    rng = random.Random(terms)
+
+    def jet(length):
+        return [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                for _ in range(length)]
+
+    zeta = jet(5)
+    zeta[1] += 2.0  # zeta'(tau_0), the cascade's divisor, away from 0
+    ups = [jet(terms - s) for s in range(1, terms)]
+    taus = expansion._tau_cascade(zeta, ups)
+    assert len(taus) == terms - 1
+
+    def residual(eps):
+        delta = sum(t * eps ** k for k, t in enumerate(taus, start=1))
+        total = sum(c * delta ** i for i, c in enumerate(zeta) if i)
+        for s, U in enumerate(ups, start=1):
+            total += eps ** s * sum(c * delta ** i for i, c in enumerate(U))
+        return abs(total)
+
+    assert abs(math.log2(residual(1e-3) / residual(5e-4)) - terms) <= 0.05
+
+
 def test_approx_all_counts_and_ordering():
     for n in (30, 31):
         p = make_params(n, 2.3)
@@ -171,7 +200,7 @@ def _count_calls(monkeypatch, counts, holder, attr):
 
 
 def test_expansion_work_per_zero(monkeypatch):
-    # jet work of one zero: the zeta powers are built once, the odd
+    # jet work of one zero: the powers of zeta^-3 are built once, the odd
     # E-coefficients are each evaluated once, by Horner in sin, and each
     # correction jet is only as long as the cascade reads
     counts = {"mul": 0, "evaluate_jet": 0}
@@ -188,11 +217,11 @@ def test_expansion_work_per_zero(monkeypatch):
         return {name: count / zeros for name, count in counts.items()}
 
     work = per_zero(5)
-    assert work["mul"] <= 150
+    assert work["mul"] <= 128
     assert work["evaluate_jet"] == 4
     # three terms read U1 and U2 alone, so E_5 and E_7 are never evaluated
     work = per_zero(3)
-    assert work["mul"] <= 40
+    assert work["mul"] <= 36
     assert work["evaluate_jet"] == 2
     # one term is tau_0 alone
     assert per_zero(1) == {"mul": 0, "evaluate_jet": 0}

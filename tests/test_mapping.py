@@ -8,7 +8,6 @@ from scipy.integrate import quad
 from rgbpzeros import TurningPointProximity, ZeroArgument, make_params
 from rgbpzeros.mapping import left_Z, map_point, zeta_for_airy_zero
 from rgbpzeros.airy import airy_zero
-from rgbpzeros.jets import JetOps
 
 from reference import CutProximity, big_Z, map_anywhere, zeta_from_xi
 
@@ -117,7 +116,7 @@ def test_zeta_derivatives_match_finite_differences():
     rng = random.Random(14)
     for z in sample_left_points(p, rng, 20):
         st = map_anywhere(p, z)
-        d1, d2, d3 = (JetOps.derivative(st.zeta, k) for k in (1, 2, 3))
+        d1, d2, d3 = (math.factorial(k) * st.zeta[k] for k in (1, 2, 3))
         h = 1e-5
         fd1 = (map_anywhere(p, z + h).zeta[0]
                - map_anywhere(p, z - h).zeta[0]) / (2 * h)

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from rgbpzeros import ZetaVanishes, build_lg_table, make_params
+from rgbpzeros.airy import AIRY_PHASE
 from rgbpzeros.jets import JetOps
 from rgbpzeros.mapping import map_point
-from rgbpzeros.phase import (COUPLING_CONSTANTS, TAIL_CONSTANTS,
-                             phase_corrections)
+from rgbpzeros.phase import phase_corrections
 
 from reference import const_a, map_anywhere
 
@@ -23,20 +23,109 @@ def left_points(params, rng, count):
 
 
 def test_transcribed_constants():
-    assert TAIL_CONSTANTS == (Fraction(5, 48), Fraction(1105, 9216),
-                              Fraction(82825, 98304),
-                              Fraction(1282031525, 88080384))
-    assert COUPLING_CONSTANTS == (Fraction(5, 32), Fraction(25, 128),
-                                  Fraction(1105, 2048), Fraction(175, 768),
-                                  Fraction(12155, 8192),
-                                  Fraction(414125, 65536))
+    # DLMF 9.8(iv), the large-x expansion of the Airy phase
+    assert AIRY_PHASE == (Fraction(5, 32), Fraction(1105, 6144),
+                          Fraction(82825, 65536),
+                          Fraction(1282031525, 58720256))
 
 
 def test_tail_constants_are_folded_a_constants():
-    # with xi^2 = (4/9) zeta^3 the explicit tails equal the a_s/(s xi^s)
-    # corrections term by term
-    for s, tail in zip((1, 3, 5, 7), TAIL_CONSTANTS):
-        assert tail == Fraction(3, 2 * s) * Fraction(3, 2) ** (s - 1) * const_a(s)
+    # with xi^2 = (4/9) zeta^3 the tail (2/3) C_k of U_k equals the
+    # a_s/(s xi^s) correction of s = 2k - 1 term by term
+    for s, c in zip((1, 3, 5, 7), AIRY_PHASE):
+        assert c == Fraction(3, 2) * Fraction(3, 2 * s) \
+            * Fraction(3, 2) ** (s - 1) * const_a(s)
+
+
+# U_k as the hand expansion of the zero condition wrote it, in U_1 ..
+# U_{k-1}, y = 1/zeta and B_k = 3 xi (E_{2k-1} + d_{2k-1}) / (2 zeta^2):
+# {(powers of U_1 .. U_4, power of B_k, power of y): coefficient}
+F = Fraction
+HAND_COMPOSITIONS = (
+    {(0, 0, 0, 0, 1, 0): F(1), (0, 0, 0, 0, 0, 2): -F(5, 48)},
+    {(0, 0, 0, 0, 1, 0): F(1), (0, 0, 0, 0, 0, 5): -F(1105, 9216),
+     (2, 0, 0, 0, 0, 1): -F(1, 4), (1, 0, 0, 0, 0, 3): F(5, 32)},
+    {(0, 0, 0, 0, 1, 0): F(1), (0, 0, 0, 0, 0, 8): -F(82825, 98304),
+     (1, 1, 0, 0, 0, 1): -F(1, 2), (3, 0, 0, 0, 0, 2): F(1, 24),
+     (2, 0, 0, 0, 0, 4): -F(25, 128), (0, 1, 0, 0, 0, 3): F(5, 32),
+     (1, 0, 0, 0, 0, 6): F(1105, 2048)},
+    {(0, 0, 0, 0, 1, 0): F(1), (0, 0, 0, 0, 0, 11): -F(1282031525, 88080384),
+     (4, 0, 0, 0, 0, 3): -F(1, 64), (2, 1, 0, 0, 0, 2): F(1, 8),
+     (3, 0, 0, 0, 0, 5): F(175, 768), (1, 0, 1, 0, 0, 1): -F(1, 2),
+     (1, 1, 0, 0, 0, 4): -F(25, 64), (0, 2, 0, 0, 0, 1): -F(1, 4),
+     (2, 0, 0, 0, 0, 7): -F(12155, 8192), (0, 0, 1, 0, 0, 3): F(5, 32),
+     (0, 1, 0, 0, 0, 6): F(1105, 2048), (1, 0, 0, 0, 0, 9): F(414125, 65536)},
+)
+
+
+def sympy_reversion():
+    """U_k in U_1 .. U_{k-1}, B_k and y = 1/zeta for k = 1 .. 4, as
+    {powers: coefficient}, from the zero condition with zeta-hat =
+    zeta (1 + v), v = sum_k U_k eps^k / zeta:
+    (1 + v)^(3/2) + sum_j C_j zeta^(-3j) (1 + v)^(3/2 - 3j) eps^j
+    = 1 + (3/(2 zeta)) sum_k B_k eps^k."""
+    sp = pytest.importorskip("sympy")
+    K = len(AIRY_PHASE)
+    eps, y, B = sp.symbols("eps y B")
+    U = sp.symbols(f"U1:{K + 1}")
+    C = [sp.Rational(c.numerator, c.denominator) for c in AIRY_PHASE]
+    v = sum(U[k - 1] * eps ** k for k in range(1, K + 1)) * y
+
+    def power(p):  # (1 + v)^p to order eps^K
+        return sum(sp.binomial(p, i) * v ** i for i in range(K + 1))
+
+    half = sp.Rational(3, 2)
+    lhs = power(half) + sum(C[j - 1] * y ** (3 * j) * power(half - 3 * j)
+                            * eps ** j for j in range(1, K + 1))
+    lhs = sp.expand(lhs)
+    out = []
+    for k in range(1, K + 1):
+        order_k = lhs.coeff(eps, k) - half * y * B  # B stands for B_k
+        U_k = sp.solve(order_k, U[k - 1])[0]
+        poly = sp.Poly(sp.expand(U_k), *U, B, y)
+        out.append({powers: Fraction(int(c.p), int(c.q))
+                    for powers, c in poly.as_dict().items()})
+    return out
+
+
+def test_reversion_gives_the_hand_compositions():
+    # the generic reversion yields every coupling and tail constant of the
+    # hand expansion exactly, and no other term
+    assert sympy_reversion() == list(HAND_COMPOSITIONS)
+
+
+def test_corrections_match_the_hand_compositions():
+    # phase_corrections against the compositions evaluated term by term
+    # on the same E, xi and zeta jets, each U_k only as long as it is read;
+    # the tails' cancellation costs some digits in the higher coefficients
+    p = make_params(15, 1.01)
+    lg = build_lg_table(p)
+    rng = random.Random(11)
+    worst = 0.0
+    for z in left_points(p, rng, 10):
+        st = map_anywhere(p, z)
+        ups = phase_corrections(lg, st)
+        ref = []
+        for k, comp in enumerate(HAND_COMPOSITIONS, start=1):
+            J = JetOps(5 - k)
+            y = J.div(J.const(1.0), st.zeta)
+            s = 2 * k - 1
+            E = lg.E[s].evaluate_jet(st.phi, st.sin, st.cos, J)
+            B = J.mul(J.scale(J.mul(st.xi, J.add(
+                E, J.const(lg.d_const[s]))), 1.5), J.mul(y, y))
+            total = J.const(0.0)
+            for powers, coeff in comp.items():
+                term = J.const(float(coeff))
+                for base, count in zip([*ref, B, y], powers[:k - 1] + powers[4:]):
+                    for _ in range(count):
+                        term = J.mul(term, base)
+                total = J.add(total, term)
+            ref.append(total)
+        for mine, theirs in zip(ups, ref):
+            assert len(mine) == len(theirs)
+            for a, b in zip(mine, theirs):
+                worst = max(worst, abs(a - b) / abs(b))
+    assert worst <= 1e-11, worst
 
 
 def test_finite_values_and_derivative_layout():
@@ -76,7 +165,7 @@ def test_dU1_matches_finite_differences():
         mid = phase_corrections(lg, map_anywhere(p, z))
         up = phase_corrections(lg, map_anywhere(p, z + h))
         dn = phase_corrections(lg, map_anywhere(p, z - h))
-        dU1, dU2 = (JetOps.derivative(jet, 1) for jet in mid[:2])
+        dU1, dU2 = (jet[1] for jet in mid[:2])
         fd = (up[0][0] - dn[0][0]) / (2 * h)
         assert abs(dU1 - fd) <= 1e-6 * (1.0 + abs(fd))
         fd2 = (up[1][0] - dn[1][0]) / (2 * h)
