@@ -10,8 +10,7 @@ other name lives in its submodule.
 from .errors import (ApproximationFailures, InvalidDegree,
                      IterationDivergence, NewtonDivergence, NonpositiveIndex,
                      OracleNoConvergence, ParameterOutOfRange, RgbpError,
-                     SweepStalled, TurningPointProximity, ZeroArgument,
-                     ZetaVanishes)
+                     SweepStalled, ZeroArgument, ZetaVanishes)
 from .expansion import ZeroApprox, approx_all, approx_zero
 from .lg_coeffs import build_lg_table
 from .params import ProblemParams, make_params
@@ -23,8 +22,8 @@ __version__ = "0.1.0"
 __all__ = [
     "approx_all", "approx_zero", "build_lg_table", "make_params",
     "oracle_zeros", "ProblemParams", "sweep", "ZeroApprox",
-    "RgbpError", "InvalidDegree", "ParameterOutOfRange",
-    "TurningPointProximity", "ZetaVanishes", "NonpositiveIndex",
-    "NewtonDivergence", "ZeroArgument", "OracleNoConvergence",
-    "IterationDivergence", "SweepStalled", "ApproximationFailures",
+    "RgbpError", "InvalidDegree", "ParameterOutOfRange", "ZetaVanishes",
+    "NonpositiveIndex", "NewtonDivergence", "ZeroArgument",
+    "OracleNoConvergence", "IterationDivergence", "SweepStalled",
+    "ApproximationFailures",
 ]

@@ -14,12 +14,8 @@ class ParameterOutOfRange(RgbpError):
     for the degree, or a tolerance eps that is not finite and positive."""
 
 
-class TurningPointProximity(RgbpError):
-    """Evaluation point is too close to the upper turning point."""
-
-
 class ZetaVanishes(RgbpError):
-    """The Airy variable is too small for the correction-term denominators."""
+    """A correction term is not finite: the Airy variable is too small."""
 
 
 class NonpositiveIndex(RgbpError):

@@ -41,6 +41,9 @@ from .phase import phase_corrections
 MAX_TERMS = len(AIRY_PHASE) + 1  # tau_0, then one per Airy-phase C_s
 NEWTON_TOL = 1e-14
 NEWTON_MAX_ITERS = 50
+# the last iteration's bound: next to the turning point xi' = Z/tau -> 0,
+# and a converged step can stay above NEWTON_TOL (6e-14 to 1.9e-13)
+NEWTON_LAST_STEP_TOL = 1e-10
 SERIES_DEGREES = (8, 16, 32, 64)  # nested Chebyshev-Lobatto levels: 9 .. 65 nodes
 SERIES_TAIL_RTOL = 1e-14          # the node samples' noise plateau is 2-4e-15
 ERR_EST_FLOOR = 1e-13             # see _err_est
@@ -105,7 +108,8 @@ def solve_tau0(params: ProblemParams, m: Optional[int],
             f, fp = _tau0_residual(params, tau, xi_target)
             dw = f / fp
             w -= dw
-            if abs(dw) <= NEWTON_TOL * (1.0 + abs(w)):
+            tol = NEWTON_LAST_STEP_TOL if it == NEWTON_MAX_ITERS else NEWTON_TOL
+            if abs(dw) <= tol * (1.0 + abs(w)):
                 tau = -0.5 + w
                 if (tau + 0.5 * al).real <= 0.0:
                     resid = abs(_tau0_residual(params, tau, xi_target)[0])

@@ -16,14 +16,11 @@ import math
 from dataclasses import dataclass
 
 from .airy import AIRY_PHASE, airy_zero
-from .errors import TurningPointProximity, ZeroArgument
+from .errors import ZeroArgument
 from .jets import Jet, JetOps
 from .params import ProblemParams
 
 _JET_ORDER = len(AIRY_PHASE) + 1  # value + derivatives up to zeta''''
-
-# exclusion radius around the turning point, relative to its size
-TURNING_POINT_RTOL = 1e-3
 
 
 @dataclass
@@ -83,14 +80,13 @@ def map_point(params: ProblemParams, z: complex, Z: complex, xi: complex,
 
     ``Z`` is the branch-resolved square root at z, and ``xi`` and ``zeta``
     are the values there that the jets start from; the zero pipeline
-    passes ``left_Z`` and the pinned Airy-zero level set.
+    passes ``left_Z`` and the pinned Airy-zero level set.  Any z near the
+    turning point z1 is mapped; at z1 itself, where no zero lies, Z = 0
+    and the jets divide by zero.
     """
     z = complex(z)
     if z == 0:
         raise ZeroArgument("the origin is a singular point of the map")
-    if abs(z - params.z1) < TURNING_POINT_RTOL * (1.0 + abs(params.z1)):
-        raise TurningPointProximity(
-            f"z={z} within exclusion radius of turning point {params.z1}")
     al, sg = params.alpha, params.sigma
 
     J = JetOps(_JET_ORDER)

@@ -253,11 +253,12 @@ def _rows_one_by_one(p, terms=5):
 
 @pytest.mark.parametrize("n,alpha", [
     (n, alpha) for n in (49, 60, 130, 200, 1000, 3000)
-    for alpha in (-0.9, -0.88, 0.0, 2.3, 9.5)])
+    for alpha in (-0.9, -0.88, 0.0, 2.3, 9.5)] + [(15000, 9.9)])
 def test_series_rows_match_rows_one_by_one(monkeypatch, n, alpha):
     # every row from the series, none solved on its own (at small M the
     # series may do more kernel work than the rows: at (49, -0.9) 33 tau_0
-    # solves and 116 evaluate_jet calls, against 25 and 100)
+    # solves and 116 evaluate_jet calls, against 25 and 100); at (15000,
+    # 9.9) the first node lies next to the turning point
     p = make_params(n, _a_from_alpha(n, alpha))
     counts = {"approx_zero": 0}
     _count_calls(monkeypatch, counts, expansion, "approx_zero")
@@ -301,6 +302,8 @@ def test_series_closing_together_gives_the_same_rows(monkeypatch):
 LOWER_EDGE = [(2000, -0.9), (4000, -0.9), (4000, -0.89), (10000, -0.88),
               (20000, -0.88)] + [(n, alpha) for n in (10000, 20000)
                                  for alpha in (-0.9, -0.895, -0.89)]
+NEAR_TURNING_POINT = [(16000, 9.9), (20000, 5.0), (20000, 9.9), (30000, 0.0),
+                      (100000, 0.0), (100000, 7.5)]
 
 
 def _transport(p, at, start):
@@ -308,13 +311,9 @@ def _transport(p, at, start):
     return iterate_T(Carrier(p.n, p.a, at, 0.0, 1.0), start)
 
 
-@pytest.mark.parametrize("n,alpha", LOWER_EDGE)
-def test_lower_edge_rows_match_transported_zeros(n, alpha):
-    # near the lower edge tau_0 has roots right of the segment
-    # Re(tau + alpha/2) = 0 too, and a row built on one is 1e-2 to 4e-2
-    # off; Newton from w = 0 reaches them for the first 1 to 8 rows here.
-    # Walk up the arc from rows 11 and 10, past those, and compare rows
-    # 1..9 with the zeros it reaches.
+def _assert_first_rows_match_transported_zeros(n, alpha):
+    """Walk up the arc from rows 11 and 10 and compare rows 1..9 with the
+    zeros it reaches."""
     p = make_params(n, _a_from_alpha(n, alpha))
     lg = build_lg_table(p)
     z = [None] + [approx_zero(p, lg, m).t for m in range(1, 12)]
@@ -326,6 +325,24 @@ def test_lower_edge_rows_match_transported_zeros(n, alpha):
     # z_1 from the solution through the expansion's z_2 agrees as well
     z1 = _transport(p, z[2], 2 * z[2] - z[3])
     assert abs(z[1] - z1) <= 5e-14 * abs(z1)
+
+
+@pytest.mark.parametrize("n,alpha", LOWER_EDGE)
+def test_lower_edge_rows_match_transported_zeros(n, alpha):
+    # near the lower edge tau_0 has roots right of the segment
+    # Re(tau + alpha/2) = 0 too, and a row built on one is 1e-2 to 4e-2
+    # off; Newton from w = 0 reaches them for the first 1 to 8 rows here,
+    # and the walk starts past those
+    _assert_first_rows_match_transported_zeros(n, alpha)
+
+
+@pytest.mark.parametrize("n,alpha", NEAR_TURNING_POINT)
+def test_turning_point_rows_match_transported_zeros(n, alpha):
+    # from n ~ 15000 the first rows lie within 1e-3 (1 + |z1|) of the
+    # turning point z1, where the expansion takes no special case: it is
+    # uniform there.  At m = 1 here tau_3 and tau_4 reach 1e9 to 6e24, but
+    # enter t through u^-6 and u^-8 at no more than 1.3e-16 of it
+    _assert_first_rows_match_transported_zeros(n, alpha)
 
 
 def test_lower_edge_first_rows_are_polynomial_zeros():
@@ -343,6 +360,18 @@ def test_lower_edge_first_rows_are_polynomial_zeros():
             t = approx_zero(p, lg, m).t
             value, slope = horner(coefs, mp.mpc(t))
             assert abs(value / slope) <= 1e-13 * abs(t), m
+
+
+@pytest.mark.parametrize("n,alpha,ms", [
+    (100000, 7.5, (1,)), (10 ** 6, 5.0, (1, 35)),
+    (10 ** 6, 9.9, (1, 2, 5, 6, 7, 13, 15, 20))])
+def test_solve_tau0_converges_next_to_the_turning_point(n, alpha, ms):
+    # tau_0's equation is ill-conditioned there (xi' = Z/tau -> 0): Newton
+    # reaches tau_0, and then its step stays just above NEWTON_TOL
+    p = make_params(n, _a_from_alpha(n, alpha))
+    for m in ms:
+        _, resid, _ = solve_tau0(p, m)
+        assert resid <= 1e-13, m
 
 
 def test_solve_tau0_restarts_from_a_root_right_of_the_segment(monkeypatch):

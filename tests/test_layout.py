@@ -12,7 +12,7 @@ import rgbpzeros
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "rgbpzeros"
-PUBLIC_API_MAX = 20
+PUBLIC_API_MAX = 19
 
 
 def _resolve(module, dotted):

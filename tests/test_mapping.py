@@ -5,7 +5,7 @@ import random
 import pytest
 from scipy.integrate import quad
 
-from rgbpzeros import TurningPointProximity, ZeroArgument, make_params
+from rgbpzeros import ZeroArgument, make_params
 from rgbpzeros.mapping import left_Z, map_point, zeta_for_airy_zero
 from rgbpzeros.airy import airy_zero
 
@@ -153,12 +153,6 @@ def test_xi_closed_form_matches_quadrature():
                  limit=300)[0])
         st = map_anywhere(p, z)
         assert abs(st.xi[0] - xi_quad) <= 1e-7 * (1.0 + abs(st.xi[0]))
-
-
-def test_turning_point_exclusion():
-    p = make_params(15, 1.01)
-    with pytest.raises(TurningPointProximity):
-        map_anywhere(p, p.z1 + 1e-5)
 
 
 def test_zeta_vanishes_toward_turning_point():

@@ -188,16 +188,17 @@ def test_U1_decays_on_positive_real_axis():
 def test_zeta_vanishes_guard():
     p = make_params(15, 1.01)
     lg = build_lg_table(p)
-    # force a vanishing Airy variable through the pinned zeta
+    # force a vanishing Airy variable through the pinned zeta: the
+    # corrections overflow (they stay finite down to |zeta| = 1e-25 here)
     z = -2.0 + 3.0j
     st = map_anywhere(p, z)
-    st = map_point(p, z, st.Z, st.xi[0], 1e-10)
+    st = map_point(p, z, st.Z, st.xi[0], 1e-30)
     with pytest.raises(ZetaVanishes):
         phase_corrections(lg, st)
 
 
 def test_bounded_near_turning_point():
-    # xi (E1 + d1) / zeta^2 stays finite approaching the exclusion radius
+    # xi (E1 + d1) / zeta^2 stays finite approaching the turning point
     p = make_params(15, 1.01)
     lg = build_lg_table(p)
     scale = 1.0 + abs(p.z1)

@@ -196,13 +196,15 @@ def test_sweep_work_per_zero(monkeypatch):
         assert counts["steps"] <= 3 * len(zs), n
 
 
-@pytest.mark.parametrize("alpha", [-0.8, 0.0, 5.0])
-def test_sweep_agrees_with_expansion(alpha):
-    n = 400
+@pytest.mark.parametrize("n,alpha", [
+    *(pytest.param(400, alpha, id=str(alpha)) for alpha in (-0.8, 0.0, 5.0)),
+    (20000, 9.9), (30000, 0.0)])
+def test_sweep_agrees_with_expansion(n, alpha):
+    # at n = 20000 and 30000 the first zeros lie next to the turning point
     a = a_from_alpha(n, alpha)
     zs = sweep(n, a)
     approxes = approx_all(make_params(n, a), terms=5)
-    assert len(zs) == len(approxes) == 200
+    assert len(zs) == len(approxes) == (n + 1) // 2
     for z, ap in zip(zs, approxes):
         assert abs(z - ap.t) <= 5e-13 * abs(ap.t), ap.m
 
