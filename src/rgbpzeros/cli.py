@@ -66,7 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--terms", type=int, default=MAX_TERMS,
                         choices=range(1, MAX_TERMS + 1),
                         help="expansion terms (zeros: asymptotic method only)")
-        sp.add_argument("--eps", type=float, default=1e-12)
 
     sp = sub.add_parser("zeros", help="compute upper-half zeros")
     common(sp)
@@ -108,8 +107,7 @@ def _rows_to_json(args: argparse.Namespace, params: ProblemParams,
         "meta": {"n": args.n, "a": args.a, "u": params.u,
                  "alpha": params.alpha,
                  "method": rows[0].method if rows else args.method,
-                 "terms": MAX_TERMS if args.method == "sweep" else args.terms,
-                 "eps": args.eps},
+                 "terms": MAX_TERMS if args.method == "sweep" else args.terms},
         "conjugates_implied": True,
         "partial": partial,
         "zeros": [{"m": r.m, "re": r.z.real, "im": r.z.imag,
@@ -125,7 +123,7 @@ def _compute_rows(args: argparse.Namespace, params: ProblemParams):
     partial = False
     if args.method == "sweep":
         try:
-            zs = sweep(args.n, args.a, eps=args.eps)
+            zs = sweep(args.n, args.a)
         except SweepStalled as exc:
             zs = exc.partial
             partial = True
@@ -173,7 +171,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         r = min(truth, key=lambda r: abs(r - z))
         return abs(z - r) / abs(r)
 
-    swept = sweep(args.n, args.a, eps=args.eps)
+    swept = sweep(args.n, args.a)
     approxes = approx_all(params, terms=args.terms)
     sweep_errs = [nearest_err(z) for z in swept]
     approx_errs = [nearest_err(ap.t) for ap in approxes]
@@ -186,7 +184,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     report = {
         "meta": {"n": args.n, "a": args.a, "u": params.u,
                  "alpha": params.alpha, "method": "both",
-                 "terms": args.terms, "eps": args.eps},
+                 "terms": args.terms},
         "gate": args.gate,
         "sweep_vs_oracle": summary(sweep_errs),
         "asymptotic_vs_oracle": summary(approx_errs),

@@ -1,10 +1,11 @@
 """Phase-expansion coefficient machinery.
 
-Builds, per problem instance, the trig-polynomial coefficients E_s(phi)
-(a closed form for s = 1, a differentiate/multiply/integrate recursion
-beyond that, driven by the generator series G(phi)) and the
-alpha-dependent odd constants d_s that regularize the odd-index
-coefficients at the turning point.
+Builds, per problem instance, the coefficients E_s(phi) (a closed form
+for s = 1, a differentiate/multiply/integrate recursion beyond that,
+driven by the generator series G(phi)) and the alpha-dependent odd
+constants d_s that regularize the odd-index coefficients at the turning
+point.  Every integrand of the recursion has zero mean over a period, so
+no power of phi arises: the E_s are polynomials in sin(phi) and cos(phi).
 """
 
 from __future__ import annotations

@@ -4,9 +4,10 @@ Every zero lies on the left branch of Z = +-sqrt((z + alpha/2)^2 + 1 + alpha),
 the one with Z < 0 for real z < 0.  ``left_Z`` and ``xi_closed_form`` give
 Z and the LG phase there; ``solve_tau0`` iterates with them, and the zero
 pipeline hands the same Z to ``map_point``.  ``map_point`` decides no
-branch: from Z and the pinned xi and zeta at z it returns the jets in z of
-phi, sin(phi), cos(phi), xi and zeta, all through jet arithmetic, with no
-numerical differentiation.
+branch: from Z and the pinned xi and zeta at z it returns a ``MapState``,
+the jets in z of sin(phi) = sigma/Z, cos(phi) = (z + alpha/2)/Z, xi and
+zeta, all through jet arithmetic, with no numerical differentiation.  phi
+itself is never formed: the LG coefficients are polynomials in sin, cos.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ class MapState:
 
     z: complex
     Z: complex
-    phi: Jet
     sin: Jet     # sin(phi) = sigma / Z
     cos: Jet     # cos(phi) = (z + alpha/2) / Z
     xi: Jet
@@ -76,7 +76,7 @@ def zeta_for_airy_zero(params: ProblemParams, m: int):
 
 def map_point(params: ProblemParams, z: complex, Z: complex, xi: complex,
               zeta: complex) -> MapState:
-    """Jets of phi, sin(phi), cos(phi), xi and zeta at z.
+    """Jets of sin(phi), cos(phi), xi and zeta at z.
 
     ``Z`` is the branch-resolved square root at z, and ``xi`` and ``zeta``
     are the values there that the jets start from; the zero pipeline
@@ -96,10 +96,6 @@ def map_point(params: ProblemParams, z: complex, Z: complex, xi: complex,
     Zj = J.sqrt_with_value(wj, Z)
     sin_j = J.div(J.const(sg), Zj)
     cos_j = J.div(zpa, Zj)
-    # phi from exp(i phi) = cos + i sin; its derivative is -sin^2/sigma
-    phi0 = -1j * cmath.log(cos_j[0] + 1j * sin_j[0])
-    dphi_j = J.scale(J.mul(sin_j, sin_j), -1.0 / sg)
-    phi_j = J.integrate_from(dphi_j, phi0)
 
     dxi_j = J.div(Zj, zj)          # xi' = f^(1/2) = Z/z
     xi_j = J.integrate_from(dxi_j, xi)
@@ -113,5 +109,4 @@ def map_point(params: ProblemParams, z: complex, Z: complex, xi: complex,
         for k in range(i + 1):
             s += ratio[k] * zeta_j[i - k]
         zeta_j[i + 1] = s / (i + 1)
-    return MapState(z=z, Z=Z, phi=phi_j, sin=sin_j, cos=cos_j, xi=xi_j,
-                    zeta=zeta_j)
+    return MapState(z=z, Z=Z, sin=sin_j, cos=cos_j, xi=xi_j, zeta=zeta_j)

@@ -76,7 +76,7 @@ def phase_corrections(lg: LgTable, state: MapState,
             g[j].append(_power_order(J, 1.5 - 3 * j, v, g[j], k - j))
             known = J.add(known, J.mul(cz[j], g[j][k - j]))
         s = 2 * k - 1  # beta's order k is beta_factor (E_s + d_s)
-        Ed = J.add(lg.E[s].evaluate_jet(state.phi, state.sin, state.cos, J),
+        Ed = J.add(lg.E[s].evaluate_jet(state.sin, state.cos, J),
                    J.const(lg.d_const[s]))
         v[k] = J.scale(J.sub(J.mul(beta_factor, Ed), known), 2.0 / 3.0)
         g[0][k] = J.add(g[0][k], J.scale(v[k], 1.5))

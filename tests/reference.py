@@ -2,11 +2,13 @@
 
 None of these is on a production path: a second evaluation route for the
 polynomial, the normalized ODE solution built from it, the map at points
-on either side of its branch cut, the closed form of the second phase
-coefficient E_2, a term-by-term evaluation of a phi-series on jets, the
-exact a_s sequence the phase tails fold in, the extended-precision
-remainder of the d-constant expansion, and the oracle's upper-half zeros
-on the grids where the rows' error estimates are checked.
+on either side of its branch cut and the angle phi there, the closed form
+of the second phase coefficient E_2, the coefficient recursion in exact
+rationals with the means it drops, a term-by-term evaluation of a
+phi-series on jets, the exact a_s sequence the phase tails fold in, the
+extended-precision remainder of the d-constant expansion, and the
+oracle's upper-half zeros on the grids where the rows' error estimates
+are checked.
 """
 
 import cmath
@@ -139,6 +141,13 @@ def map_anywhere(params, z):
     return map_point(params, z, Z, xi, zeta_from_xi(xi, sign))
 
 
+def map_phi(params, state):
+    """The angle phi at a mapped point, from exp(i phi) = cos + i sin, and
+    its z-derivative -sin^2/sigma."""
+    s, c = state.sin[0], state.cos[0]
+    return -1j * cmath.log(c + 1j * s), -s * s / params.sigma
+
+
 def closed_form_E2(params):
     """E_2(phi) in closed form; the recursion builds it as G E_1'."""
     al = params.alpha
@@ -153,15 +162,78 @@ def closed_form_E2(params):
     return part1 + part2
 
 
-def monomial_jets(series, phi_jet, sin_jet, cos_jet, jet_ops):
+def series_mean(series):
+    """Mean of a phi-series over a period: sin^m averages to
+    (m-1)!!/m!! = C(m, m/2)/2^m for even m; every other term to 0."""
+    return sum(c * Fraction(math.comb(m, m // 2), 2 ** m)
+               for (m, n), c in series.terms.items() if n == 0 and m % 2 == 0)
+
+
+def exact_integrate(series):
+    """The antiderivative F, with F(0) = 0, of ``series`` less its mean,
+    exact on Fraction coefficients.
+
+    sin^k cos integrates to sin^(k+1)/(k+1); sin^k by the reduction
+    int sin^k = -sin^(k-1) cos/k + (k-1)/k int sin^(k-2), down to int sin,
+    or to int 1, whose integrand is sin^k's share of the mean.
+    """
+    terms = {}
+
+    def add(t, c):
+        terms[t] = terms.get(t, 0) + c
+
+    for (m, n), c in series.terms.items():
+        if n == 1:
+            add((m + 1, 0), c / (m + 1))
+            continue
+        while m >= 2:
+            add((m - 1, 1), -c / m)
+            c = c * (m - 1) / m
+            m -= 2
+        if m == 1:
+            add((0, 1), -c)
+    F = PhiSeries(terms)
+    at_zero = sum(c for (m, n), c in F.terms.items() if m == 0)
+    return F - PhiSeries({(0, 0): at_zero})
+
+
+def exact_G_E1(sigma):
+    """G and E_1 of ``lg_coeffs`` at a rational sigma, alpha = sigma^2 - 1,
+    in Fractions."""
+    al = sigma * sigma - 1
+    s, c = PhiSeries({(1, 0): Fraction(1)}), PhiSeries({(0, 1): Fraction(1)})
+    one, c2 = PhiSeries({(0, 0): Fraction(1)}), c * c
+    G = (c * s * s).scale(1 / (2 * sigma)) \
+        + (s * s * s).scale(-al / (4 * (1 + al)))
+    E1 = (s * (c2.scale(5) - one.scale(2))).scale(1 / (24 * sigma)) \
+        + (c * (c2.scale(5) - one.scale(6)) + one).scale(al / (48 * (1 + al)))
+    return G, E1
+
+
+def exact_E_recursion(sigma, s_max):
+    """E_1 .. E_{s_max} (1-indexed) by ``coeff_E``'s recursion in exact
+    rationals, and the mean of each integrand G sum_j E_j' E_{s-j}' that
+    the recursion integrates, s = 2 .. s_max - 1."""
+    G, E1 = exact_G_E1(sigma)
+    E, dE, means = [None, E1], [None, E1.differentiate()], []
+    for s in range(1, s_max):
+        conv = PhiSeries()
+        for j in range(1, s):
+            conv = conv + dE[j] * dE[s - j]
+        if s > 1:
+            means.append(series_mean(G * conv))
+        E.append(G * dE[s] + exact_integrate(G * conv))
+        dE.append(E[-1].differentiate())
+    return E, means
+
+
+def monomial_jets(series, sin_jet, cos_jet, jet_ops):
     """The jet of each monomial of ``series``, raised from its constant by
-    one jet product per factor of phi, sin and cos; their sum is what
+    one jet product per factor of sin and cos; their sum is what
     ``PhiSeries.evaluate_jet`` computes by Horner in sin."""
     out = []
-    for (k, m, n), coeff in series.terms.items():
+    for (m, n), coeff in series.terms.items():
         term = jet_ops.const(coeff)
-        for _ in range(k):
-            term = jet_ops.mul(term, phi_jet)
         for _ in range(m):
             term = jet_ops.mul(term, sin_jet)
         for _ in range(n):

@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import rgbpzeros
+from rgbpzeros import make_params
+from rgbpzeros.expansion import solve_tau0
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "rgbpzeros"
@@ -22,13 +24,28 @@ def _resolve(module, dotted):
     return obj
 
 
+def test_tracer_targets_exist():
+    # the benchmark's tracer rebinds functions and methods by module path
+    # and dotted name, and reads solve_tau0's Newton count as out[2]; a
+    # rename would otherwise show only when the benchmark runs
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    targets = {node.targets[0].id: ast.literal_eval(node.value)
+               for node in tree.body if isinstance(node, ast.Assign)
+               and isinstance(node.targets[0], ast.Name)
+               and node.targets[0].id in ("SPAN_TARGETS", "COUNT_TARGETS")}
+    assert set(targets) == {"SPAN_TARGETS", "COUNT_TARGETS"}
+    for module, attr, *_ in targets["SPAN_TARGETS"] + targets["COUNT_TARGETS"]:
+        importlib.import_module(module)
+        assert callable(_resolve(module, attr)), f"{module}.{attr}"
+    out = solve_tau0(make_params(40, 2.3), 3)
+    assert isinstance(out, tuple) and len(out) == 3
+    assert isinstance(out[2], int) and out[2] >= 1
+
+
 def test_benchmark_targets_resolve(monkeypatch):
     # perfbench/ reaches the program by module path and attribute name
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    tracing = importlib.import_module("tracing")
     workloads = importlib.import_module("workloads")
-    for module, attr, *_ in tracing.SPAN_TARGETS + tracing.COUNT_TARGETS:
-        assert callable(_resolve(module, attr)), f"{module}.{attr}"
     # every SW.x / EX.x / LG.x / PA.x / cli.x the workloads use
     tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
     used = {(node.value.id, node.attr) for node in ast.walk(tree)

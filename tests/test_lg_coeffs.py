@@ -8,7 +8,8 @@ from scipy.integrate import quad
 from rgbpzeros import build_lg_table, make_params
 from rgbpzeros.lg_coeffs import coeff_E, coeff_G, const_d
 
-from reference import closed_form_E2, const_a, d_expansion_error
+from reference import (closed_form_E2, const_a, d_expansion_error,
+                       exact_E_recursion, exact_G_E1, series_mean)
 
 
 def params_for_alpha(alpha):
@@ -72,7 +73,7 @@ def test_E_parity():
     p = params_for_alpha(0.45)
     E = coeff_E(p, 7)
     for s in range(1, 8):
-        for (k, m, n) in E[s].terms:
+        for (m, n) in E[s].terms:
             if s % 2 == 1:
                 assert (m, n) == (0, 0) or (m + n) % 2 == 1
             else:
@@ -89,6 +90,31 @@ def test_E2_matches_closed_form():
         diff = coeff_E(p, 2)[2] - ref
         scale = max(abs(c) for c in ref.terms.values())
         assert all(abs(c) <= 1e-15 * scale for c in diff.terms.values())
+
+
+def test_recursion_integrands_have_no_mean():
+    # PhiSeries.integrate drops the mean of its integrand, so the E_s stay
+    # polynomials in sin and cos; exact in rationals, every integrand of
+    # the recursion through E_11 has zero mean over a period, for alpha
+    # from -8/9 to 91/9.  The odd E_s average to -d_s, which ties E_1's
+    # constant and the d-constants to the same check.
+    for sigma in (Fraction(1, 3), Fraction(1, 2), Fraction(3, 2),
+                  Fraction(5, 4), Fraction(2), Fraction(7, 3),
+                  Fraction(10, 3)):
+        E, means = exact_E_recursion(sigma, 11)
+        assert len(means) == 9 and all(m == 0 for m in means), (sigma, means)
+        alpha = sigma * sigma - 1
+        for s in (1, 3, 5, 7):
+            assert series_mean(E[s]) + const_d(alpha, s) == 0, (sigma, s)
+    # the rational G and E_1 are the package's, where sigma is a double
+    for sigma in (Fraction(1, 2), Fraction(3, 2)):
+        p = params_for_alpha(float(sigma * sigma - 1))
+        assert p.sigma == sigma
+        exact = exact_G_E1(sigma)
+        for mine, ref in zip((coeff_G(p), coeff_E(p, 1)[1]), exact):
+            assert mine.terms.keys() == ref.terms.keys()
+            for t, c in ref.terms.items():
+                assert abs(mine.terms[t] - c) <= 1e-15 * abs(c), (sigma, t)
 
 
 def quadrature_E_next(params, E, dE, s, phi):
@@ -153,7 +179,7 @@ def test_build_lg_table():
 
 def test_G_matches_map_derivative_ratio():
     # G equals -phi'/(2 xi') at mapped points
-    from reference import map_anywhere
+    from reference import map_anywhere, map_phi
 
     p = make_params(15, 1.01)
     G = coeff_G(p)
@@ -161,6 +187,7 @@ def test_G_matches_map_derivative_ratio():
     for _ in range(20):
         z = complex(rng.uniform(-10, -2), rng.uniform(2, 10))
         st = map_anywhere(p, z)
-        lhs = G.evaluate(st.phi[0])
-        rhs = -st.phi[1] / (2.0 * st.xi[1])
+        phi, dphi = map_phi(p, st)
+        lhs = G.evaluate(phi)
+        rhs = -dphi / (2.0 * st.xi[1])
         assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))

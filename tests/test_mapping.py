@@ -9,7 +9,8 @@ from rgbpzeros import ZeroArgument, make_params
 from rgbpzeros.mapping import left_Z, map_point, zeta_for_airy_zero
 from rgbpzeros.airy import airy_zero
 
-from reference import CutProximity, big_Z, map_anywhere, zeta_from_xi
+from reference import (CutProximity, big_Z, map_anywhere, map_phi,
+                       zeta_from_xi)
 
 
 def sample_left_points(params, rng, count):
@@ -96,8 +97,7 @@ def test_phi_round_trip():
     p = make_params(30, 20.2)
     rng = random.Random(12)
     for z in sample_left_points(p, rng, 50):
-        st = map_anywhere(p, z)
-        phi = st.phi[0]
+        phi, _ = map_phi(p, map_anywhere(p, z))
         back = p.sigma * cmath.cos(phi) / cmath.sin(phi) - p.alpha / 2.0
         assert abs(back - z) <= 1e-12 * (1.0 + abs(z))
 

@@ -110,7 +110,7 @@ def test_corrections_match_the_hand_compositions():
             J = JetOps(5 - k)
             y = J.div(J.const(1.0), st.zeta)
             s = 2 * k - 1
-            E = lg.E[s].evaluate_jet(st.phi, st.sin, st.cos, J)
+            E = lg.E[s].evaluate_jet(st.sin, st.cos, J)
             B = J.mul(J.scale(J.mul(st.xi, J.add(
                 E, J.const(lg.d_const[s]))), 1.5), J.mul(y, y))
             total = J.const(0.0)

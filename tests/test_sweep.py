@@ -6,9 +6,9 @@ import sys
 import pytest
 import sympy
 
-from rgbpzeros import (IterationDivergence, SweepStalled, approx_all,
-                       approx_zero, build_lg_table, make_params, oracle_zeros,
-                       sweep)
+from rgbpzeros import (IterationDivergence, ParameterOutOfRange, SweepStalled,
+                       approx_all, approx_zero, build_lg_table, make_params,
+                       oracle_zeros, sweep)
 from rgbpzeros.polynomials import poly_coeffs, relative_residual
 from rgbpzeros.sweep import Carrier, iterate_T, omega, taylor_step, taylor_table
 
@@ -117,6 +117,12 @@ def test_sweep_linear_case():
     assert len(zs) == 1
     assert zs[0] == pytest.approx(-3.5, abs=1e-12)
     assert zs[0].imag == 0.0
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+def test_sweep_rejects_bad_eps(eps):
+    with pytest.raises(ParameterOutOfRange):
+        sweep(40, 2.0, eps=eps)
 
 
 def test_sweep_counts_on_grid():

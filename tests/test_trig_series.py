@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 from rgbpzeros.jets import JetOps
 from rgbpzeros.trig_series import PhiSeries
 
-from reference import monomial_jets
+from reference import monomial_jets, series_mean
 
 
 def series_strategy(max_terms=4):
-    term = st.tuples(st.integers(0, 3), st.integers(0, 4), st.integers(0, 2))
+    term = st.tuples(st.integers(0, 4), st.integers(0, 2))
     coeff = st.complex_numbers(min_magnitude=0.0, max_magnitude=4.0,
                                allow_infinity=False, allow_nan=False)
     return st.dictionaries(term, coeff, max_size=max_terms).map(PhiSeries)
@@ -37,41 +37,40 @@ def test_add_examples():
 
 
 def test_multiply_examples():
-    s, c, phi = PhiSeries.sin(), PhiSeries.cos(), PhiSeries.phi()
-    assert (s * c).terms == {(0, 1, 1): 1.0}
-    assert (s * s).terms == {(0, 2, 0): 1.0}
-    assert (phi * s).terms == {(1, 1, 0): 1.0}
+    s, c = PhiSeries.sin(), PhiSeries.cos()
+    assert (s * c).terms == {(1, 1): 1.0}
+    assert (s * s).terms == {(2, 0): 1.0}
+    assert (c * c * s).terms == {(1, 0): 1.0, (3, 0): -1.0}
 
 
 def test_differentiate_examples():
-    s, c, phi = PhiSeries.sin(), PhiSeries.cos(), PhiSeries.phi()
+    s, c = PhiSeries.sin(), PhiSeries.cos()
     assert s.differentiate() == c
-    assert_series_close((phi * s).differentiate(), s + phi * c)
+    assert_series_close((s * c).differentiate(), c * c - s * s)
     s3 = s * s * s
     assert_series_close(s3.differentiate(), (s * s * c).scale(3.0))
 
 
 def test_integrate_examples():
-    s, c, phi = PhiSeries.sin(), PhiSeries.cos(), PhiSeries.phi()
+    s, c = PhiSeries.sin(), PhiSeries.cos()
     assert_series_close(c.integrate(), s)
-    expected = phi.scale(0.5) - (s * c).scale(0.5)
-    assert_series_close((s * s).integrate(), expected)
-    expected2 = phi * s + c - PhiSeries.one()
-    assert_series_close((phi * c).integrate(), expected2)
+    assert_series_close(s.integrate(), PhiSeries.one() - c)
+    # sin^2 has mean 1/2: its phi/2 is dropped, the rest is exact
+    assert (s * s).integrate() == (s * c).scale(-0.5)
 
 
 def test_evaluate_examples():
     assert PhiSeries.sin().evaluate(math.pi / 2) == pytest.approx(1.0)
-    assert (PhiSeries.phi() * PhiSeries.sin()).evaluate(0.0) == 0
+    assert (PhiSeries.sin() * PhiSeries.cos()).evaluate(0.0) == 0
     v = (PhiSeries.sin() * PhiSeries.sin()).evaluate(1j)
     assert v == pytest.approx(cmath.sin(1j) ** 2, rel=1e-13)
 
 
 def test_canonical_form_bounds_cos_power():
-    p = PhiSeries({(0, 0, 5): 2.0, (1, 1, 4): -1.0})
-    assert all(nn <= 1 for (_, _, nn) in p.terms)
+    p = PhiSeries({(0, 5): 2.0, (1, 4): -1.0})
+    assert all(nn <= 1 for (_, nn) in p.terms)
     assert p.evaluate(0.7) == pytest.approx(
-        2.0 * math.cos(0.7) ** 5 - 0.7 * math.sin(0.7) * math.cos(0.7) ** 4,
+        2.0 * math.cos(0.7) ** 5 - math.sin(0.7) * math.cos(0.7) ** 4,
         rel=1e-13)
 
 
@@ -86,7 +85,10 @@ def test_immutability():
 @settings(max_examples=200, deadline=None)
 @given(series_strategy())
 def test_differentiate_after_integrate_is_identity(p):
-    assert_series_close(p.integrate().differentiate(), p, tol=1e-9)
+    # integrate drops the mean, which no series of the span has as its
+    # derivative
+    mean = PhiSeries({(0, 0): series_mean(p)})
+    assert_series_close(p.integrate().differentiate(), p - mean, tol=1e-9)
 
 
 @settings(max_examples=100, deadline=None)
@@ -120,12 +122,12 @@ def test_differentiate_matches_central_differences(p):
 # -- jet evaluation ----------------------------------------------------------
 
 def phi_jets(phi0, order):
-    """Jets in phi of phi, sin(phi) and cos(phi) about phi0."""
+    """Jets in phi of sin(phi) and cos(phi) about phi0."""
     J = JetOps(order)
     fact = [math.factorial(k) for k in range(order)]
     sin_j = [cmath.sin(phi0 + k * math.pi / 2) / fact[k] for k in range(order)]
     cos_j = [cmath.cos(phi0 + k * math.pi / 2) / fact[k] for k in range(order)]
-    return J, J.variable(phi0), sin_j, cos_j
+    return J, sin_j, cos_j
 
 
 # Gradual underflow: an operation whose result is subnormal keeps no
@@ -146,21 +148,20 @@ def assert_jet_matches_monomials(p, jet, monomials):
 @given(series_strategy(max_terms=8), st.integers(1, 5),
        st.sampled_from(PHI_POINTS))
 def test_evaluate_jet_matches_monomial_sum(p, order, phi0):
-    # Horner in sin within each (phi power, cos power) group against the
+    # Horner in sin within each cos-power group against the
     # monomial-by-monomial evaluation
-    J, phi_j, sin_j, cos_j = phi_jets(phi0, order)
-    jet = p.evaluate_jet(phi_j, sin_j, cos_j, J)
+    J, sin_j, cos_j = phi_jets(phi0, order)
+    jet = p.evaluate_jet(sin_j, cos_j, J)
     assert len(jet) == order
-    assert_jet_matches_monomials(p, jet,
-                                 monomial_jets(p, phi_j, sin_j, cos_j, J))
+    assert_jet_matches_monomials(p, jet, monomial_jets(p, sin_j, cos_j, J))
 
 
 @settings(max_examples=100, deadline=None)
 @given(series_strategy(max_terms=8), st.sampled_from(PHI_POINTS))
 def test_order_one_jet_is_evaluate(p, phi0):
-    J, phi_j, sin_j, cos_j = phi_jets(phi0, 1)
-    monomials = monomial_jets(p, phi_j, sin_j, cos_j, J)
+    J, sin_j, cos_j = phi_jets(phi0, 1)
+    monomials = monomial_jets(p, sin_j, cos_j, J)
     assert_jet_matches_monomials(p, [p.evaluate(phi0)], monomials)
-    assert_jet_matches_monomials(p, p.evaluate_jet(phi_j, sin_j, cos_j, J),
+    assert_jet_matches_monomials(p, p.evaluate_jet(sin_j, cos_j, J),
                                  monomials)
 
