@@ -19,7 +19,7 @@ class ZetaVanishes(RgbpError):
 
 
 class NonpositiveIndex(RgbpError):
-    """Airy-zero index m must be >= 1."""
+    """Airy-zero index m must be an integer >= 1 (any integral type but bool)."""
 
 
 class NewtonDivergence(RgbpError):

@@ -1,16 +1,19 @@
 """Phase-expansion coefficient machinery.
 
-Builds, per problem instance, the coefficients E_s(phi) (a closed form
-for s = 1, a differentiate/multiply/integrate recursion beyond that,
-driven by the generator series G(phi)) and the alpha-dependent odd
-constants d_s that regularize the odd-index coefficients at the turning
-point.  Every integrand of the recursion has zero mean over a period, so
-no power of phi arises: the E_s are polynomials in sin(phi) and cos(phi).
+Builds, per problem instance, E_s(phi) (a closed form for s = 1, a
+differentiate/multiply/integrate recursion driven by the generator G(phi)
+beyond it) and the odd turning-point constants d_s(alpha), from Bernoulli
+numbers, for s to S_MAX, which ``airy.EXPANSION_TERMS`` sets.  Every
+integrand of the recursion has zero mean over a period, so no power of phi
+arises: the E_s are polynomials in sin(phi) and cos(phi).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from fractions import Fraction
+from math import comb
 from typing import Dict, List
 
 from .airy import AIRY_PHASE
@@ -20,25 +23,23 @@ from .trig_series import PhiSeries
 S_MAX = 2 * len(AIRY_PHASE) - 1  # highest index consumed: U_k reads E_{2k-1}
 
 
-def const_d(al, s_odd: int):
-    """Odd-index turning-point constant d_s(alpha) for s in {1, 3, 5, 7}.
+@functools.cache
+def _d_factor(s: int) -> Fraction:
+    """c_s = -(1 - 2^-s) B_{s+1} / (2 s (s + 1)), B the Bernoulli numbers."""
+    B = [Fraction(1)]
+    for k in range(1, s + 2):
+        B.append(-sum(comb(k + 1, j) * B[j] for j in range(k)) / (k + 1))
+    return -(1 - Fraction(1, 2**s)) * B[s + 1] / (2 * s * (s + 1))
 
-    The literals are integers, so a float alpha gives a float and a
-    Fraction alpha the exact rational.
-    """
-    op = 1 + al
-    if s_odd == 1:
-        return -al / (48 * op)
-    if s_odd == 3:
-        return 7 * al * (3 + 3 * al + al * al) / (5760 * op**3)
-    if s_odd == 5:
-        return (-31 * al * (5 + 10 * al + 10 * al**2 + 5 * al**3 + al**4)
-                / (80640 * op**5))
-    if s_odd == 7:
-        return (127 * al * (7 + 21 * al + 35 * al**2 + 35 * al**3
-                            + 21 * al**4 + 7 * al**5 + al**6)
-                / (430080 * op**7))
-    raise ValueError(f"d-constant defined for s in {{1,3,5,7}}, got {s_odd}")
+
+def const_d(al, s_odd: int):
+    """Turning-point constant d_s(alpha) = c_s alpha sum_{j<s} C(s, j+1)
+    alpha^j / (1+alpha)^s, odd s, DLMF 5.11.8; exact for a Fraction alpha."""
+    if s_odd < 1 or s_odd % 2 == 0:
+        raise ValueError(f"d-constant defined for odd s >= 1, got {s_odd}")
+    c = _d_factor(s_odd)
+    poly = sum(comb(s_odd, j + 1) * al**j for j in range(s_odd))
+    return c.numerator * al * poly / (c.denominator * (1 + al)**s_odd)  # c_s unrounded
 
 
 def coeff_G(params: ProblemParams) -> PhiSeries:

@@ -242,6 +242,24 @@ def monomial_jets(series, sin_jet, cos_jet, jet_ops):
     return out
 
 
+def const_d_branches(al, s_odd):
+    """d_1 .. d_7 as transcribed by hand, one branch each, the reference
+    for the package's Bernoulli form of const_d."""
+    op = 1 + al
+    if s_odd == 1:
+        return -al / (48 * op)
+    if s_odd == 3:
+        return 7 * al * (3 + 3 * al + al * al) / (5760 * op**3)
+    if s_odd == 5:
+        return (-31 * al * (5 + 10 * al + 10 * al**2 + 5 * al**3 + al**4)
+                / (80640 * op**5))
+    if s_odd == 7:
+        return (127 * al * (7 + 21 * al + 35 * al**2 + 35 * al**3
+                            + 21 * al**4 + 7 * al**5 + al**6)
+                / (430080 * op**7))
+    raise ValueError(f"d-constant transcribed for s in {{1,3,5,7}}, got {s_odd}")
+
+
 @functools.lru_cache(maxsize=None)
 def const_a(s):
     """Exact rational a_s: a1 = a2 = 5/72, then

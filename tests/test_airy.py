@@ -1,6 +1,7 @@
 import random
 
 import mpmath as mp
+import numpy as np
 import pytest
 from scipy import special
 
@@ -14,8 +15,10 @@ def test_first_two_zeros():
 
 
 def test_nearest_double():
-    # the table (m <= 16), the series (m >= 17) and the seam between them
+    # the table (m <= 16), the series (m >= 17) and the seam between them,
+    # then out to m = 5e5, the zeros of n = 1e6
     sampled = random.Random(9).sample(range(41, 10001), 30)
+    sampled += random.Random(10).sample(range(10001, 500001), 30)
     with mp.workdps(40):
         for m in list(range(1, 41)) + sampled:
             assert airy_zero(m) == float(mp.airyaizero(m)), m
@@ -37,7 +40,8 @@ def test_monotone_and_negative():
 
 
 def test_invalid_index():
-    with pytest.raises(NonpositiveIndex):
-        airy_zero(0)
-    with pytest.raises(NonpositiveIndex):
-        airy_zero(-2)
+    for m in (0, -2, np.int64(0), True, 2.0, 17.5, "3"):
+        with pytest.raises(NonpositiveIndex):
+            airy_zero(m)
+    for m in (3, 17, 401):
+        assert airy_zero(np.int64(m)) == airy_zero(m)

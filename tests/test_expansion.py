@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from rgbpzeros import (ApproximationFailures, NewtonDivergence, approx_all,
@@ -47,6 +48,8 @@ def test_m_range_validation():
         solve_tau0(p, 0)
     with pytest.raises(ValueError):
         solve_tau0(p, 16)
+    lg = build_lg_table(p)
+    assert approx_zero(p, lg, np.int64(3)) == approx_zero(p, lg, 3)
 
 
 def test_table_rows():

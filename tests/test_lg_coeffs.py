@@ -8,8 +8,9 @@ from scipy.integrate import quad
 from rgbpzeros import build_lg_table, make_params
 from rgbpzeros.lg_coeffs import coeff_E, coeff_G, const_d
 
-from reference import (closed_form_E2, const_a, d_expansion_error,
-                       exact_E_recursion, exact_G_E1, series_mean)
+from reference import (closed_form_E2, const_a, const_d_branches,
+                       d_expansion_error, exact_E_recursion, exact_G_E1,
+                       series_mean)
 
 
 def params_for_alpha(alpha):
@@ -104,7 +105,7 @@ def test_recursion_integrands_have_no_mean():
         E, means = exact_E_recursion(sigma, 11)
         assert len(means) == 9 and all(m == 0 for m in means), (sigma, means)
         alpha = sigma * sigma - 1
-        for s in (1, 3, 5, 7):
+        for s in (1, 3, 5, 7, 9, 11):
             assert series_mean(E[s]) + const_d(alpha, s) == 0, (sigma, s)
     # the rational G and E_1 are the package's, where sigma is a double
     for sigma in (Fraction(1, 2), Fraction(3, 2)):
@@ -155,9 +156,20 @@ def test_d1_values():
     assert const_d(Fraction(1), 1) == Fraction(-1, 96)
 
 
+def test_d_matches_the_transcribed_branches():
+    # exact in rationals, alpha from -8/9 to 91/9
+    for sigma in (Fraction(1, 3), Fraction(1, 2), Fraction(3, 2),
+                  Fraction(5, 4), Fraction(2), Fraction(7, 3),
+                  Fraction(10, 3)):
+        alpha = sigma * sigma - 1
+        for s in (1, 3, 5, 7):
+            assert const_d(alpha, s) == const_d_branches(alpha, s), (sigma, s)
+
+
 def test_d_requires_odd_index():
-    with pytest.raises(ValueError):
-        const_d(0.5, 2)
+    for s in (2, 0, -1):
+        with pytest.raises(ValueError):
+            const_d(0.5, s)
 
 
 def test_d_partial_sum_error_scaling():

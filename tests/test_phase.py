@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from rgbpzeros import ZetaVanishes, build_lg_table, make_params
-from rgbpzeros.airy import AIRY_PHASE
+from rgbpzeros.airy import AIRY_PHASE, _airy_phase, _zero_series
 from rgbpzeros.jets import JetOps
 from rgbpzeros.mapping import map_point
 from rgbpzeros.phase import phase_corrections
@@ -23,10 +23,22 @@ def left_points(params, rng, count):
 
 
 def test_transcribed_constants():
-    # DLMF 9.8(iv), the large-x expansion of the Airy phase
+    # DLMF 9.8(iv), the large-x expansion of the Airy phase, and DLMF
+    # 9.9.18, the large-t series of the Airy zeros
     assert AIRY_PHASE == (Fraction(5, 32), Fraction(1105, 6144),
                           Fraction(82825, 65536),
                           Fraction(1282031525, 58720256))
+    assert _zero_series(5) == (Fraction(5, 48), Fraction(-5, 36),
+                               Fraction(77125, 82944),
+                               Fraction(-108056875, 6967296),
+                               Fraction(162375596875, 334430208))
+
+
+def test_constants_one_term_further():
+    # what a sixth and seventh expansion term would read
+    assert _airy_phase(6)[4:] == (Fraction(1683480621875, 2415919104),
+                                  Fraction(6718940277925125, 188978561024))
+    assert _zero_series(6)[5] == Fraction(-1622671914671875, 66217181184)
 
 
 def test_tail_constants_are_folded_a_constants():
